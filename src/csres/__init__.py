@@ -53,7 +53,6 @@ from .hamiltonian import (
     critical_angle,
     eval_potential,
     solve_spectrum,
-    spectrum_of,
 )
 from .simulator import (
     Circuit,

@@ -27,7 +27,7 @@ from .hamiltonian import (
     classify_spectrum,
     solve_spectrum,
 )
-from .filtration import filtration_report
+from .filtration import filtration_report, required_ancillas
 from .trajectory import extract_optimal, run_trajectory
 from .vqa import (
     VqaConfig,
@@ -263,7 +263,15 @@ def cmd_trajectory(config, args):
 def cmd_filter(config, args):
     if not args.states:
         raise ConfigError("filter needs --states FILE from spectrum-quantum")
-    states, energies, _, encoding = artifacts.read_states_json(args.states)
+    try:
+        states, energies, n_qubits, encoding = artifacts.read_states_json(args.states)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"cannot read states file {args.states}: {type(exc).__name__}: {exc}") from exc
+    if not (isinstance(n_qubits, int) and n_qubits >= 1) or any(
+            len(state) != 2**n_qubits for state in states):
+        raise ConfigError(f"states file {args.states}: n_qubits must be a positive "
+                          "integer and every state must hold 2^n_qubits amplitudes")
     out = _out_dir(config, args)
     if encoding == "gray":
         # occupation numbers have no per-qubit meaning in the Gray register
@@ -277,7 +285,7 @@ def cmd_filter(config, args):
                else config.get("runs", {}).get("base_seed", 7))
     report = filtration_report(
         states, energies,
-        n_r=3,
+        n_r=required_ancillas(n_qubits),
         shots=int(config.get("shots") or 8192),
         seed=seed,
     )

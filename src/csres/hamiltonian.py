@@ -10,6 +10,7 @@ symmetric.  The continuum of the scaled problem rotates down by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.linalg as sla
 from scipy.special import erf
 
 from .basis import (
+    OrthoTransform,
     RadialBasisSpec,
     basis_matrix,
     gram_schmidt_transform,
@@ -119,15 +121,60 @@ class SpectrumResult:
     labels: tuple = field(default=())
 
 
-def _raw_matrices_at_nodes(spec, model, theta_deg, n_per_panel):
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class _Quadrature:
+    """theta-independent part of the assembly on one grid; arrays read-only.
+
+    ``r2w`` holds the weights times r^2, ``phi`` the basis functions node by
+    node (shape (len(r), n)), ``t_mat`` the kinetic matrix without its
+    ``hbar^2/2mu`` prefactor.
+    """
+
+    r: np.ndarray
+    r2w: np.ndarray
+    phi: np.ndarray
+    t_mat: np.ndarray
+
+
+# Two entries hold one basis: its base grid and its node-doubled grid.
+@functools.lru_cache(maxsize=2)
+def _quadrature(spec: RadialBasisSpec, n_per_panel: int) -> _Quadrature:
     r, w = quadrature_grid(spec, n_per_panel)
-    phis = basis_matrix(spec, r)
+    phi = basis_matrix(spec, r)
     kin = np.array([kinetic_applied(spec, k, r) for k in range(spec.n)])
-    t_mat = np.einsum("im,m,jm->ij", phis, w * r**2, kin)
+    r2w = w * r**2
+    t_mat = np.einsum("im,m,jm->ij", phi, r2w, kin)
+    return _Quadrature(*map(_read_only, (r, r2w, np.ascontiguousarray(phi.T), t_mat)))
+
+
+@functools.lru_cache(maxsize=1)
+def _orthonormal(spec: RadialBasisSpec) -> OrthoTransform:
+    ortho = gram_schmidt_transform(spec)
+    return OrthoTransform(c=_read_only(ortho.c), overlap=_read_only(ortho.overlap))
+
+
+def _scaled_at_nodes(spec, model, theta_deg, n_per_panel, node_order=True):
+    # H(theta) on one grid (c-product, no conjugation).  With node_order,
+    # V_ij is summed node by node, phi_i(r) r^2 w V(r) first, times phi_j(r)
+    # second: the same products in the same order as the per-theta
+    # three-operand einsum, so the same bits.  A BLAS GEMM sums in another
+    # order; H then moves by ~1e-15 relative, and with it the variational
+    # solver's path, which decides the eigenvalues a spectrum scan finds.
+    quad = _quadrature(spec, n_per_panel)
     theta = np.radians(theta_deg)
-    v_vals = eval_potential(model, r * np.exp(1j * theta))
-    v_mat = np.einsum("im,m,jm->ij", phis, (w * r**2) * v_vals, phis)
-    return t_mat, v_mat
+    wv = quad.r2w * eval_potential(model, quad.r * np.exp(1j * theta))
+    phi = quad.phi
+    if node_order:
+        v_re, v_im = (np.einsum("mi,mj->ij", phi * part[:, None], phi)
+                      for part in (wv.real, wv.imag))
+    else:
+        v_re, v_im = ((phi.T * part) @ phi for part in (wv.real, wv.imag))
+    return np.exp(-2j * theta) * model.hbar2_over_2mu * quad.t_mat + (v_re + 1j * v_im)
 
 
 def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
@@ -138,25 +185,30 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     phi_j r^2 dr`` with the quadrature convergence verified by node
     doubling (relative change above 1e-8 raises :class:`NumericalError`
     naming the worst matrix element).
+
+    Computed once per basis and grid, and reused while the basis stays the
+    same: the nodes, the weights, the basis functions on the nodes and T,
+    for both the base and the node-doubled grid.  Computed at every theta:
+    V(r e^(i theta)) on both grids, its matrix, and the node-doubling
+    check.  The matrix returned is summed in the same order as a fresh
+    per-theta assembly, so it does not depend on what was cached; the
+    base-grid matrix that serves only the check is assembled with BLAS.
     """
     if not (0.0 <= theta_deg < 45.0):
         raise ValueError("theta must lie in [0, 45) degrees")
-    t_mat, v_mat = _raw_matrices_at_nodes(spec, model, theta_deg, n_per_panel)
-    phase = np.exp(-2j * np.radians(theta_deg))
-    h = phase * model.hbar2_over_2mu * t_mat + v_mat
-    if check_convergence:
-        t2, v2 = _raw_matrices_at_nodes(spec, model, theta_deg, 2 * n_per_panel)
-        h2 = phase * model.hbar2_over_2mu * t2 + v2
-        scale = np.abs(h2).max()
-        delta = np.abs(h - h2)
-        if delta.max() > 1e-8 * scale:
-            i, j = np.unravel_index(np.argmax(delta), delta.shape)
-            raise NumericalError(
-                f"quadrature not converged for matrix element ({i},{j}): "
-                f"relative change {delta[i, j] / scale:.2e} on node doubling"
-            )
-        h = h2
-    return h, overlap_matrix(spec)
+    if not check_convergence:
+        return _scaled_at_nodes(spec, model, theta_deg, n_per_panel), overlap_matrix(spec)
+    h = _scaled_at_nodes(spec, model, theta_deg, n_per_panel, node_order=False)
+    h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * n_per_panel)
+    scale = np.abs(h2).max()
+    delta = np.abs(h - h2)
+    if delta.max() > 1e-8 * scale:
+        i, j = np.unravel_index(np.argmax(delta), delta.shape)
+        raise NumericalError(
+            f"quadrature not converged for matrix element ({i},{j}): "
+            f"relative change {delta[i, j] / scale:.2e} on node doubling"
+        )
+    return h2, overlap_matrix(spec)
 
 
 def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
@@ -165,10 +217,12 @@ def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel, theta_deg:
 
     This is the matrix handed to the qubit encodings.  The transform matrix
     is real and theta-independent, so no conjugation enters anywhere
-    (c-product); the result is complex symmetric.
+    (c-product); the result is complex symmetric.  The transform is
+    computed once per basis and reused while the basis stays the same;
+    the raw matrix is built at every theta by :func:`build_raw_matrices`.
     """
     h_raw, _ = build_raw_matrices(spec, model, theta_deg, n_per_panel)
-    c = gram_schmidt_transform(spec).c
+    c = _orthonormal(spec).c
     return ScaledHamiltonian(
         theta_deg=float(theta_deg),
         l=spec.l,
@@ -202,10 +256,6 @@ def solve_spectrum(matrix, overlap=None) -> SpectrumResult:
         for k in range(len(energies))
     ])
     return SpectrumResult(energies=energies, vectors=vectors, residuals=resid)
-
-
-def spectrum_of(sh: ScaledHamiltonian) -> SpectrumResult:
-    return solve_spectrum(sh.matrix)
 
 
 def critical_angle(energy: complex) -> float:

@@ -193,3 +193,41 @@ class TestFilterGrayMarker:
                      "--states", str(out / "states.json")]) == 0
         text = (out / "heatmap.csv").read_text()
         assert "not-applicable" in text
+
+
+class TestFilterInputs:
+    def _config(self, tmp_path):
+        return write_yaml(tmp_path / "f.yaml", {"model": {"kind": "schematic"},
+                                                 "shots": 1024,
+                                                 "out_dir": str(tmp_path / "out")})
+
+    def test_eight_qubit_onehot_states(self, tmp_path, capsys):
+        # eight qubits need four ancillas to hold Hamming weights 0..8
+        n = 8
+        states = []
+        for k in range(3):
+            amps = np.zeros(2**n)
+            amps[1 << k] = 1.0
+            states.append({"E_re": 1.0 + k, "E_im": -0.01, "amplitudes": [[a, 0.0] for a in amps]})
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps({"n_qubits": n, "encoding": "onehot_jw", "states": states}))
+        assert main(["filter", "--config", self._config(tmp_path), "--seed", "5",
+                     "--states", str(path)]) == 0
+        heat = [ln for ln in (tmp_path / "out" / "heatmap.csv").read_text().splitlines()
+                if ln and not ln.startswith("#")]
+        assert heat[0] == "E_re,E_im,0001,physical"
+        assert [ln.split(",")[-1] for ln in heat[1:]] == ["1", "1", "1"]
+
+    @pytest.mark.parametrize("content", [
+        None, '{"states": []}', "not json",
+        '{"n_qubits": 2, "states": [{"E_re": 0, "E_im": 0, "amplitudes": [[1, 0]]}]}',
+    ])
+    def test_bad_states_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "states.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["filter", "--config", self._config(tmp_path),
+                     "--states", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "config"
+        assert "Traceback" not in err

@@ -103,6 +103,55 @@ class TestBuildScaledMatrix:
         assert abs(bounds[0] - bounds[1]) < 1e-6
 
 
+def _einsum_raw_h(spec, model, theta_deg, n_per_panel):
+    # per-theta assembly as done before the per-basis precomputation; the
+    # precomputed assembly keeps its summation order, so H agrees bit for bit
+    from csres.basis import basis_matrix, kinetic_applied, quadrature_grid
+
+    r, w = quadrature_grid(spec, n_per_panel)
+    phis = basis_matrix(spec, r)
+    kin = np.array([kinetic_applied(spec, k, r) for k in range(spec.n)])
+    t_mat = np.einsum("im,m,jm->ij", phis, w * r**2, kin)
+    theta = np.radians(theta_deg)
+    v_vals = eval_potential(model, r * np.exp(1j * theta))
+    v_mat = np.einsum("im,m,jm->ij", phis, (w * r**2) * v_vals, phis)
+    return np.exp(-2j * theta) * model.hbar2_over_2mu * t_mat + v_mat
+
+
+class TestPerBasisAssembly:
+    @pytest.mark.parametrize("case", ["ho_d_wave", "gauss_p_wave"])
+    def test_matches_per_theta_einsum(self, case, schematic, alpha_alpha):
+        spec, model = {
+            "ho_d_wave": (RadialBasisSpec.ho(12, 2, 1.36), alpha_alpha),
+            "gauss_p_wave": (RadialBasisSpec.gaussian(8, 1, 1.0, 10.0), schematic),
+        }[case]
+        for theta in (0.0, 7.5, 18.0, 30.0):
+            h, _ = build_raw_matrices(spec, model, theta)
+            oracle = _einsum_raw_h(spec, model, theta, 2 * 48)  # node-doubled grid
+            np.testing.assert_array_equal(h, oracle)
+
+    def test_other_n_per_panel_not_served_from_cache(self, small_gauss_basis, schematic):
+        coarse, _ = build_raw_matrices(small_gauss_basis, schematic, 20.0,
+                                       n_per_panel=4, check_convergence=False)
+        fine, _ = build_raw_matrices(small_gauss_basis, schematic, 20.0,
+                                     n_per_panel=5, check_convergence=False)
+        for h, n in ((coarse, 4), (fine, 5)):
+            np.testing.assert_array_equal(h, _einsum_raw_h(small_gauss_basis, schematic, 20.0, n))
+        assert np.abs(coarse - fine).max() > 1e-6 * np.abs(fine).max()
+
+    def test_cached_arrays_read_only(self, small_gauss_basis, schematic):
+        from csres import hamiltonian
+
+        first = build_scaled_matrix(small_gauss_basis, schematic, 20.0).matrix
+        quad = hamiltonian._quadrature(small_gauss_basis, 48)
+        ortho = hamiltonian._orthonormal(small_gauss_basis)
+        for arr in (quad.r, quad.r2w, quad.phi, quad.t_mat, ortho.c, ortho.overlap):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        again = build_scaled_matrix(small_gauss_basis, schematic, 20.0).matrix
+        np.testing.assert_array_equal(again, first)
+
+
 class TestSolveSpectrum:
     def test_diagonal_matrix(self):
         d = np.diag([1.0 + 2.0j, -3.0 - 0.5j])
