@@ -23,7 +23,6 @@ from .basis import (
     quadrature_grid,
 )
 from .encoding import (
-    PauliString,
     PauliSum,
     encode_gray,
     encode_onehot_jw,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,10 @@ from .hamiltonian import (
     solve_spectrum,
 )
 from .filtration import filtration_report, required_ancillas
-from .trajectory import extract_optimal, run_trajectory
+from .trajectory import CLASSICAL, QUANTUM, extract_optimal, run_trajectory
 from .vqa import (
+    GRAY,
+    ONEHOT_JW,
     VqaConfig,
     aggregate_spectra,
     encode_matrix,
@@ -53,7 +55,6 @@ _SCHEMA = {
     "cost_tol": None,
     "aggregate_radius": None,
     "out_dir": None,
-    "threads": None,
 }
 
 
@@ -77,20 +78,52 @@ def load_config(path) -> dict:
     return raw
 
 
+_REQUIRED = object()
+
+
+def _number(config, path, kind, default=_REQUIRED, minimum=None):
+    """The config value at ``path`` ("key" or "section.key") as ``kind``.
+
+    ``kind`` is int or float.  A missing or null value gives ``default``;
+    without one it is a ConfigError.  A value that is not a number of that
+    kind, or lies below ``minimum``, is a ConfigError.
+    """
+    section, _, key = path.rpartition(".")
+    value = ((config.get(section) or {}) if section else config).get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs {path}")
+        return default
+    # int() would read true as 1 and truncate 2.5 to 2
+    bad = isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer())
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
+    return number
+
+
 def _basis_from(config) -> RadialBasisSpec:
     b = config.get("basis")
     if not b:
         raise ConfigError("config needs a 'basis' section")
+    family = b.get("family")
+    n, l = _number(config, "basis.n", int), _number(config, "basis.l", int)
     try:
-        family = b["family"]
         if family == "gaussian":
-            return RadialBasisSpec.gaussian(int(b["n"]), int(b["l"]),
-                                            float(b["r1"]), float(b["r_max"]))
+            return RadialBasisSpec.gaussian(n, l, _number(config, "basis.r1", float),
+                                            _number(config, "basis.r_max", float))
         if family == "ho":
-            return RadialBasisSpec.ho(int(b["n"]), int(b["l"]), float(b["b"]))
-    except (KeyError, ValueError, TypeError) as exc:
+            return RadialBasisSpec.ho(n, l, _number(config, "basis.b", float))
+    except ValueError as exc:
         raise ConfigError(f"invalid basis section: {exc}") from exc
-    raise ConfigError(f"unknown basis family {b.get('family')!r}")
+    raise ConfigError(f"unknown basis family {family!r}")
 
 
 def _model_from(config) -> PotentialModel:
@@ -116,13 +149,14 @@ def _theta_grid(config):
     if not t:
         raise ConfigError("config needs a 'theta' section")
     if "value" in t:
-        value = float(t["value"])
+        value = _number(config, "theta.value", float)
         if not 0.0 <= value < 45.0:
             raise ConfigError("theta must lie inside [0, 45) degrees")
         return np.array([value])
+    start, stop, step = (_number(config, f"theta.{k}", float) for k in ("start", "stop", "step"))
     try:
-        grid = np.arange(float(t["start"]), float(t["stop"]), float(t["step"]))
-    except (KeyError, ValueError, TypeError) as exc:
+        grid = np.arange(start, stop, step)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid theta section: {exc}") from exc
     if grid.size == 0:
         raise ConfigError("theta grid is empty")
@@ -131,34 +165,42 @@ def _theta_grid(config):
     return grid
 
 
+def _base_seed(config, seed_override):
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed_override}")
+        return seed_override
+    return _number(config, "runs.base_seed", int, VqaConfig.base_seed, minimum=0)
+
+
 def _vqa_from(config, seed_override=None, exact=False) -> VqaConfig:
-    runs = config.get("runs", {})
-    scan = config.get("scan", {})
-    vqa = VqaConfig(
-        encoding=config.get("encoding", "gray"),
-        p=int(config.get("ansatz", {}).get("p", 3)),
-        shots=None if exact else config.get("shots"),
-        n_runs=int(runs.get("n_runs", 1)),
-        base_seed=int(seed_override if seed_override is not None
-                      else runs.get("base_seed", 7)),
-        init_energy=complex(float(scan.get("e_start_re", 0.0)),
-                            float(scan.get("e_start_im", 0.0))),
-        scan_step=float(scan.get("step", 0.4)),
-        repetitions=int(scan.get("repetitions", 20)),
+    encoding = config.get("encoding", VqaConfig.encoding)
+    if encoding not in (GRAY, ONEHOT_JW):
+        raise ConfigError(f"unknown encoding {encoding!r}")
+    shots = _number(config, "shots", int, None, minimum=1)  # None: exact expectations
+    return VqaConfig(
+        encoding=encoding,
+        p=_number(config, "ansatz.p", int, VqaConfig.p, minimum=1),
+        shots=None if exact else shots,
+        n_runs=_number(config, "runs.n_runs", int, VqaConfig.n_runs, minimum=1),
+        base_seed=_base_seed(config, seed_override),
+        init_energy=complex(
+            _number(config, "scan.e_start_re", float, VqaConfig.init_energy.real),
+            _number(config, "scan.e_start_im", float, VqaConfig.init_energy.imag)),
+        scan_step=_number(config, "scan.step", float, VqaConfig.scan_step),
+        repetitions=_number(config, "scan.repetitions", int, VqaConfig.repetitions,
+                            minimum=1),
+        cost_tol=_number(config, "cost_tol", float, VqaConfig.cost_tol),
     )
-    if config.get("cost_tol") is not None:
-        vqa.cost_tol = float(config["cost_tol"])
-    if vqa.encoding not in ("gray", "onehot_jw"):
-        raise ConfigError(f"unknown encoding {vqa.encoding!r}")
-    return vqa
 
 
 def _neighborhood(config):
     nb = config.get("neighborhood")
     if not nb:
         raise ConfigError("config needs a 'neighborhood' section")
-    center = complex(float(nb.get("center_re", 0.0)), float(nb.get("center_im", 0.0)))
-    return center, float(nb.get("radius", 0.5))
+    center = complex(_number(config, "neighborhood.center_re", float, 0.0),
+                     _number(config, "neighborhood.center_im", float, 0.0))
+    return center, _number(config, "neighborhood.radius", float, 0.5)
 
 
 def _out_dir(config, args):
@@ -191,9 +233,8 @@ def cmd_spectrum_classical(config, args):
 
 
 def _scan_one_run(h_sum, vqa, run_index):
-    cfg = VqaConfig(**{**vqa.__dict__,
-                       "base_seed": vqa.base_seed + run_index * vqa.repetitions})
-    return scan_spectrum(h_sum, cfg)
+    return scan_spectrum(
+        h_sum, replace(vqa, base_seed=vqa.base_seed + run_index * vqa.repetitions))
 
 
 def cmd_spectrum_quantum(config, args):
@@ -203,18 +244,13 @@ def cmd_spectrum_quantum(config, args):
     if thetas.size != 1:
         raise ConfigError("spectrum-quantum expects a single theta value")
     vqa = _vqa_from(config, args.seed, args.exact)
+    radius = _number(config, "aggregate_radius", float, 0.25)
     out = _out_dir(config, args)
     sh = build_scaled_matrix(basis, model, float(thetas[0]))
     h_sum = encode_matrix(sh.matrix, vqa.encoding)
     classical = solve_spectrum(sh.matrix).energies
-    threads = int(args.threads or config.get("threads") or 1)
-    run_ids = list(range(vqa.n_runs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_run = list(pool.map(lambda r: _scan_one_run(h_sum, vqa, r), run_ids))
-    else:
-        per_run = [_scan_one_run(h_sum, vqa, r) for r in run_ids]
-    clusters = aggregate_spectra(per_run, radius=float(config.get("aggregate_radius", 0.25)))
+    per_run = [_scan_one_run(h_sum, vqa, r) for r in range(vqa.n_runs)]
+    clusters = aggregate_spectra(per_run, radius=radius)
     if not clusters:
         raise NumericalError("no variational run converged")
     artifacts.write_overlay_csv(out / "spectrum_overlay.csv", classical, clusters,
@@ -233,18 +269,22 @@ def cmd_trajectory(config, args):
     model = _model_from(config)
     thetas = _theta_grid(config)
     center, radius = _neighborhood(config)
-    engine = config.get("engine", "classical")
-    out = _out_dir(config, args)
+    engine = config.get("engine", CLASSICAL)
+    if engine not in (CLASSICAL, QUANTUM):
+        raise ConfigError(f"unknown engine {engine!r}")
+    attempts = _number(config, "attempts", int, 3, minimum=1)
+    bins = _number(config, "bins", int, 25, minimum=1)
     vqa = None
-    if engine == "quantum":
+    if engine == QUANTUM:
         vqa = _vqa_from(config, args.seed, args.exact)
         if config.get("cost_tol") is None:
             vqa.cost_tol_rel = 1e-5  # finite-depth ansatz floor, see README
+    out = _out_dir(config, args)
     traj = run_trajectory(
         basis, model, thetas, center, radius, engine=engine, vqa_config=vqa,
-        attempts=int(config.get("attempts", 3)),
+        attempts=attempts,
     )
-    est = extract_optimal(traj, bins=int(config.get("bins", 25)))
+    est = extract_optimal(traj, bins=bins)
     seed = vqa.base_seed if vqa else None
     artifacts.write_trajectory_csv(out / "trajectory.csv", traj, config, seed)
     artifacts.write_estimate_json(out / "estimate.json", est, config, seed)
@@ -273,7 +313,9 @@ def cmd_filter(config, args):
         raise ConfigError(f"states file {args.states}: n_qubits must be a positive "
                           "integer and every state must hold 2^n_qubits amplitudes")
     out = _out_dir(config, args)
-    if encoding == "gray":
+    shots = _number(config, "shots", int, 8192, minimum=1)
+    seed = _base_seed(config, args.seed)
+    if encoding == GRAY:
         # occupation numbers have no per-qubit meaning in the Gray register
         marker = {"filtration": "not-applicable",
                   "reason": "states are Gray-code encoded"}
@@ -281,14 +323,8 @@ def cmd_filter(config, args):
             "# " + json.dumps(marker) + "\n", encoding="utf-8")
         print("filtration not applicable to Gray-code states")
         return 0
-    seed = int(args.seed if args.seed is not None
-               else config.get("runs", {}).get("base_seed", 7))
     report = filtration_report(
-        states, energies,
-        n_r=required_ancillas(n_qubits),
-        shots=int(config.get("shots") or 8192),
-        seed=seed,
-    )
+        states, energies, n_r=required_ancillas(n_qubits), shots=shots, seed=seed)
     artifacts.write_heatmap_csv(out / "heatmap.csv", report, config, seed)
     n_phys = sum(row.physical for row in report.rows)
     print(f"wrote {out / 'heatmap.csv'}: {n_phys}/{len(report.rows)} states physical")
@@ -312,7 +348,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="override base seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--exact", action="store_true", help="force exact expectations")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--states", default=None, help="states JSON (filter command)")
         p.set_defaults(func=fn)
     return parser

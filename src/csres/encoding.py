@@ -8,7 +8,6 @@ dense form of a string is ``kron(P[n-1], ..., P[1], P[0])``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +32,6 @@ for _a in "IXYZ":
 del _a, _b, _c, _m, _ph
 
 
-@dataclass(frozen=True)
-class PauliString:
-    coeff: complex
-    letters: str
-
-
 class PauliSum:
     """Weighted sum of Pauli strings over a fixed qubit register.
 
@@ -59,10 +52,6 @@ class PauliSum:
         self._terms = {
             s: c for s, c in sorted(merged.items()) if abs(c) > COEFF_CUTOFF
         }
-
-    @property
-    def terms(self):
-        return [PauliString(c, s) for s, c in self._terms.items()]
 
     def items(self):
         return list(self._terms.items())

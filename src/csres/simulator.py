@@ -153,7 +153,7 @@ def expectation_pauli(state, letters) -> float:
 
 
 class _CompiledSum:
-    """Pauli sum grouped by X-mask for fast repeated expectations."""
+    """Pauli sum grouped by X-mask, for repeated exact or shot-sampled expectations."""
 
     def __init__(self, psum: PauliSum):
         self.n_qubits = psum.n_qubits
@@ -177,6 +177,9 @@ class _CompiledSum:
             coeffs = np.array([c for _, c, _, _ in entries])
             self.groups.append((ks ^ x, signs, phases, coeffs))
             self.order.extend(letters for letters, _, _, _ in entries)
+        self.coeffs = np.concatenate([g[3] for g in self.groups])
+        identity = "I" * psum.n_qubits
+        self.is_identity = np.array([letters == identity for letters in self.order])
 
     def term_expectations(self, psi):
         """Per-term <P> values (order ``self.order``); psi may be (dim,) or (dim, B)."""
@@ -196,53 +199,50 @@ class _CompiledSum:
             total = total + (coeffs * phases) @ vals
         return total
 
-    @property
-    def coeffs(self):
-        return np.concatenate([g[3] for g in self.groups])
+    def sampled(self, psi, shots, rng=None, frozen=None):
+        """Shot-sampled <psi|A|psi>; psi may be (dim,) or (dim, B).
 
-
-_COMPILE_CACHE: dict = {}
+        Every Pauli string is measured on its own with ``shots`` samples of
+        its +-1 eigenvalue, whose mean m is clipped to [-1, 1]; identity
+        strings are exact.  With ``rng`` each string draws a fresh binomial
+        count.  With ``frozen`` (one standard-normal z per string, order
+        ``self.order``) the estimate is ``m + z sqrt((1 - m^2)/shots)``,
+        the Gaussian limit of the shot average, smooth in psi and the same
+        noise realisation on every call.
+        """
+        if shots <= 0:
+            raise ValueError("shots must be positive")
+        ms = np.clip(self.term_expectations(psi).real, -1.0, 1.0)
+        if frozen is not None:
+            z = frozen[:, None] if ms.ndim == 2 else frozen
+            est = ms + z * np.sqrt(np.maximum(1.0 - ms**2, 0.0) / shots)
+        else:
+            counts = rng.binomial(shots, 0.5 * (1.0 + ms))
+            est = 2.0 * counts / shots - 1.0
+        est[self.is_identity] = 1.0
+        return self.coeffs @ est
 
 
 def compiled(psum: PauliSum) -> _CompiledSum:
-    key = id(psum)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is None or hit[0] is not psum:
-        hit = (psum, _CompiledSum(psum))
-        _COMPILE_CACHE[key] = hit
-        if len(_COMPILE_CACHE) > 64:
-            _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)))
-    return hit[1]
+    """Compile ``psum``; the caller keeps the result while it evaluates the sum."""
+    return _CompiledSum(psum)
 
 
 def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> complex:
     """<psi|A|psi> for a Pauli sum.
 
     Exact mode (``shots`` omitted): sum of per-string expectations.  Shot
-    mode: every string is measured independently with ``shots`` samples of
-    its +-1 eigenvalue (identity strings are exact); reproducible for a
+    mode: the fresh-binomial shot model of ``_CompiledSum.sampled`` (every
+    string measured on its own, identity strings exact), reproducible for a
     given seed or generator.
     """
     comp = compiled(psum)
     psi = np.asarray(state, dtype=complex)
     if shots is None:
         return complex(comp.expectation(psi))
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
-    ident = "I" * psum.n_qubits
-    ms = comp.term_expectations(psi).real
-    total = 0.0 + 0.0j
-    for letters, m in zip(comp.order, ms):
-        coeff = psum.coefficient(letters)
-        if letters == ident:
-            total += coeff
-            continue
-        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + m)))
-        est = 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
-        total += coeff * est
-    return complex(total)
+    return complex(comp.sampled(psi, shots, rng=rng))
 
 
 def sample_counts(state, shots, seed=None, rng=None) -> dict:

@@ -11,13 +11,13 @@ the targeted eigenvector before the joint optimisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .encoding import PauliSum, encode_gray, encode_onehot_jw, pauli_multiply
-from .simulator import Circuit, apply_circuit, compiled, zero_state
+from .simulator import Circuit, compiled
 
 ONEHOT_JW = "onehot_jw"
 GRAY = "gray"
@@ -150,7 +150,6 @@ class VqaConfig:
     cluster_radius: float = 0.05
     fd_step_exact: float = 1e-6
     fd_step_shot: float = 1e-2
-    analytic_e_update: bool = False
 
 
 @dataclass
@@ -166,23 +165,21 @@ class EigenpairEstimate:
     init_energy: complex
     multiplicity: int = 1
     state: np.ndarray = None
-    median_energy: complex = None
-    mad: tuple = None
 
 
 class VarianceCost:
-    """Cached cost-function pieces for one Pauli-encoded operator.
+    """The brackets <H+H> and <H> of one Pauli-encoded operator.
 
-    ``H+H``, ``H`` and ``H+`` are fixed per operator; only the linear
-    combination with the energy changes between evaluations.
+    ``H+H`` and ``H`` are built and compiled once per instance; only the
+    linear combination with the energy changes between evaluations.  Both
+    bracket methods take a batch of states as rows; the shot-sampled one
+    uses the shot model of the compiled sums (``_CompiledSum.sampled``).
     """
 
     def __init__(self, h_sum: PauliSum):
-        self.h = h_sum
-        self.hdh = pauli_multiply(h_sum.dagger(), h_sum)
         self.n_qubits = h_sum.n_qubits
         self._ch = compiled(h_sum)
-        self._chdh = compiled(self.hdh)
+        self._chdh = compiled(pauli_multiply(h_sum.dagger(), h_sum))
         self.hs_norm2 = float(sum(abs(c) ** 2 for _, c in h_sum.items()))
 
     def brackets(self, states):
@@ -194,35 +191,19 @@ class VarianceCost:
         return e1, t1
 
     def brackets_sampled(self, states, shots, rng=None, frozen=None):
-        """Shot-sampled brackets.
+        """Shot-sampled (<H+H>, <H>) for a batch of states (rows).
 
         With ``rng``, every Pauli string draws fresh independent binomial
-        shots.  With ``frozen`` (a pair of standard-normal vectors, one
-        entry per string), the same noise realisation is reused for every
-        evaluation: the per-string estimate becomes
-        ``m + z sqrt((1 - m^2)/shots)``, the Gaussian limit of the shot
-        average, smooth in the parameters.  That keeps one optimisation
-        run on a single deterministic sampled surface while the run-to-run
-        spread still carries the full shot noise.
+        shots, <H+H> first.  With ``frozen`` (the pair from
+        :meth:`frozen_noise`), the same noise realisation is reused for
+        every evaluation, so one optimisation run stays on a single
+        deterministic sampled surface while the run-to-run spread still
+        carries the full shot noise.
         """
-        psi = np.atleast_2d(np.asarray(states))
-        ident = "I" * self.n_qubits
-        out = []
-        for which, (comp, psum) in enumerate(
-            ((self._chdh, self.hdh), (self._ch, self.h))
-        ):
-            ms = np.clip(comp.term_expectations(psi.T).real, -1.0, 1.0)  # (T, B)
-            if frozen is not None:
-                z = frozen[which][:, None]
-                est = ms + z * np.sqrt(np.maximum(1.0 - ms**2, 0.0) / shots)
-            else:
-                counts = rng.binomial(shots, 0.5 * (1.0 + ms))
-                est = 2.0 * counts / shots - 1.0
-            coeffs = np.array([psum.coefficient(s) for s in comp.order])
-            is_id = np.array([s == ident for s in comp.order])
-            est[is_id] = 1.0  # identity measured exactly
-            out.append(coeffs @ est)
-        e1, t1 = out
+        cols = np.atleast_2d(np.asarray(states)).T
+        z_hdh, z_h = (None, None) if frozen is None else frozen
+        e1 = self._chdh.sampled(cols, shots, rng=rng, frozen=z_hdh)
+        t1 = self._ch.sampled(cols, shots, rng=rng, frozen=z_h)
         return np.real(e1), t1
 
     def frozen_noise(self, rng):
@@ -239,15 +220,17 @@ class VarianceCost:
 
 def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, rng=None):
     """Energy-parameterised variance cost for a single evaluation."""
+    if params.n_qubits != h_sum.n_qubits:
+        raise ValueError("ansatz register size mismatch")
     vc = VarianceCost(h_sum)
-    state = apply_circuit(zero_state(h_sum.n_qubits), build_ansatz(params, h_sum.n_qubits))
+    states = _ansatz_states(params.to_vector(), params.n_qubits, params.p)
     if shots is None:
-        e1, t1 = vc.brackets(state)
-        return float(VarianceCost.combine(e1, t1, complex(energy)))
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    e1, t1 = vc.brackets_sampled(state, shots, rng)
-    return float(VarianceCost.combine(np.real(e1[0]), t1[0], complex(energy)))
+        e1, t1 = vc.brackets(states)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        e1, t1 = vc.brackets_sampled(states, shots, rng)
+    return float(VarianceCost.combine(e1[0], t1[0], complex(energy)))
 
 
 def _make_objective(vc, config, rng, frozen=None):
@@ -305,6 +288,13 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
                       init_params: AnsatzParams = None):
     """One BFGS run of the variance minimisation; returns an estimate.
 
+    After an optional warm-up with the energy frozen at its initial guess
+    (``config.warmup``), the circuit parameters and the complex energy are
+    optimised jointly on the cost built from :class:`VarianceCost`'s
+    brackets, with central-difference gradients.  The brackets are exact,
+    or in shot mode (``config.shots``) sampled on one frozen noise
+    realisation; a shot-mode run is judged converged on its exact cost.
+
     The circuit parameters start from ``init_params`` when given (e.g. the
     solution at a neighbouring rotation angle), else from a uniform draw of
     half-width ``config.init_scale`` seeded by ``seed``; in shot mode the
@@ -319,7 +309,7 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
     n = h_sum.n_qubits
     vc = VarianceCost(h_sum)
     frozen = vc.frozen_noise(rng) if config.shots is not None else None
-    fun, grad, brackets_rows = _make_objective(vc, config, rng, frozen=frozen)
+    fun, grad, _ = _make_objective(vc, config, rng, frozen=frozen)
     if init_params is None:
         z0 = rng.uniform(-config.init_scale, config.init_scale, config.p * (3 * n - 1))
     elif init_params.n_qubits != n or init_params.p != config.p:
@@ -337,27 +327,13 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
         )
         z0 = warm.x
         iterations += warm.nit
-    if config.analytic_e_update:
-        # optimise zeta on the pure variance <H+H> - |<H>|^2; E rides along
-        def fun_z(z):
-            e1, t1 = brackets_rows(z[None, :])
-            return float(np.real(e1[0]) - abs(np.atleast_1d(t1)[0]) ** 2)
-
-        res = minimize(fun_z, z0, method="BFGS",
-                       options=dict(gtol=config.gtol, maxiter=config.maxiter))
-        _, t1 = brackets_rows(res.x[None, :])
-        final_e = complex(np.atleast_1d(t1)[0])
-        zeta = res.x
-        final_cost = float(res.fun)
-        iterations += res.nit
-    else:
-        x0 = np.concatenate([z0, [init_e.real, init_e.imag]])
-        res = minimize(fun, x0, jac=grad, method="BFGS",
-                       options=dict(gtol=config.gtol, maxiter=config.maxiter))
-        zeta = res.x[:-2]
-        final_e = complex(res.x[-2], res.x[-1])
-        final_cost = float(res.fun)
-        iterations += res.nit
+    x0 = np.concatenate([z0, [init_e.real, init_e.imag]])
+    res = minimize(fun, x0, jac=grad, method="BFGS",
+                   options=dict(gtol=config.gtol, maxiter=config.maxiter))
+    zeta = res.x[:-2]
+    final_e = complex(res.x[-2], res.x[-1])
+    final_cost = float(res.fun)
+    iterations += res.nit
     params = AnsatzParams.from_vector(zeta, n, config.p)
     state = _ansatz_states(zeta[None, :], n, config.p)[0]
     if config.shots is None:
@@ -416,14 +392,9 @@ def scan_spectrum(h_sum: PauliSum, config: VqaConfig):
     reps = []
     for cl in cluster_estimates(results, config.cluster_radius):
         best = min(cl, key=lambda e: e.cost)
-        reps.append(replace_multiplicity(best, len(cl)))
+        reps.append(replace(best, multiplicity=len(cl)))
     reps.sort(key=lambda e: (e.energy.real, e.energy.imag))
     return reps
-
-
-def replace_multiplicity(est, m):
-    est.multiplicity = int(m)
-    return est
 
 
 def aggregate_runs(values):

@@ -57,6 +57,34 @@ class TestConfigValidation:
         assert rc == 2
         assert "45" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("command, override", [
+        ("spectrum-quantum", {"ansatz": {"p": "three"}}),
+        ("spectrum-classical", {"theta": {"value": "abc"}}),
+        ("trajectory", {"bins": "many"}),
+        ("spectrum-quantum", {"shots": -5}),
+        ("spectrum-quantum", {"scan": {"repetitions": 0}}),
+        ("spectrum-quantum", {"runs": {"n_runs": 0}}),
+        ("trajectory", {"attempts": 0}),
+        ("trajectory", {"engine": "quantm"}),
+        ("spectrum-quantum", {"ansatz": {"p": 2.5}}),
+        ("spectrum-quantum", {"threads": 2}),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"value": 24.0},
+            "neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": 0.5},
+            "encoding": "onehot_jw",
+            "out_dir": str(tmp_path / "out"),
+            **override,
+        }
+        cfg = write_yaml(tmp_path / "c.yaml", doc)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "config"
+        assert "Traceback" not in err
+
 
 class TestSpectrumClassical:
     def test_writes_spectrum_with_labels(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,8 +14,10 @@ from csres import (
     build_ansatz,
     cost,
     encode_gray,
+    expectation_pauli,
     minimize_variance,
     pauli_decompose,
+    pauli_multiply,
     scan_spectrum,
     zero_state,
 )
@@ -139,6 +144,44 @@ class TestGradient:
         assert coef[5] == pytest.approx(0.0, abs=1e-9)
 
 
+
+class TestBrackets:
+    def test_dropped_operator_is_freed(self, h5_gray):
+        h = h5_gray.scaled(1.0)
+        ref = weakref.ref(h)
+        VarianceCost(h)
+        del h
+        gc.collect()
+        assert ref() is None
+
+    def test_frozen_noise_matches_inline_shot_model(self, rng, h5_gray):
+        shots = 256
+        vc = VarianceCost(h5_gray)
+        states = _ansatz_states(rng.uniform(-0.8, 0.8, (3, 3 * (3 * 3 - 1))), 3, 3)
+        zero = tuple(np.zeros_like(z) for z in vc.frozen_noise(rng))
+        e1, t1 = vc.brackets_sampled(states, shots, frozen=zero)
+        e1_exact, t1_exact = vc.brackets(states)
+        np.testing.assert_allclose(e1, e1_exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t1, t1_exact, rtol=0, atol=1e-12)
+
+        frozen = vc.frozen_noise(rng)
+        got = vc.brackets_sampled(states, shots, frozen=frozen)
+        hdh = pauli_multiply(h5_gray.dagger(), h5_gray)
+        for psum, order, z, values in zip((hdh, h5_gray), (vc._chdh.order, vc._ch.order),
+                                          frozen, got):
+            assert "III" in order
+            for psi, value in zip(states, values):
+                oracle = 0.0
+                for letters, z_k in zip(order, z):
+                    c_k = psum.coefficient(letters)
+                    if letters == "III":
+                        oracle += c_k
+                        continue
+                    m_k = expectation_pauli(psi, letters)
+                    oracle += c_k * (m_k + z_k * np.sqrt((1.0 - m_k**2) / shots))
+                assert abs(value - oracle) < 1e-12
+
+
 class TestMinimize:
     def test_single_level_converges_from_anywhere(self):
         # padding adds an exact zero eigenvalue; any init nearer the physical
@@ -194,13 +237,6 @@ class TestMinimize:
         est = minimize_variance(h5_gray, config, init_energy=lam + 0.05j, seed=17)
         assert isinstance(est.converged, bool)
         assert np.isfinite(est.cost)
-
-    def test_analytic_e_update_flag(self, h5_gray, h5_matrix):
-        lam = sorted(np.linalg.eigvals(h5_matrix), key=lambda z: abs(z))[0]
-        config = VqaConfig(p=3, analytic_e_update=True)
-        est = minimize_variance(h5_gray, config, init_energy=lam + 0.1, seed=4)
-        assert est.converged
-        assert abs(est.energy - lam) < 5e-3
 
 
 class TestScanAggregate:
