@@ -11,7 +11,7 @@ symmetric.  The continuum of the scaled problem rotates down by
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -118,7 +118,6 @@ class SpectrumResult:
     energies: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    labels: tuple = field(default=())
 
 
 def _read_only(a):
@@ -158,22 +157,14 @@ def _orthonormal(spec: RadialBasisSpec) -> OrthoTransform:
     return OrthoTransform(c=_read_only(ortho.c), overlap=_read_only(ortho.overlap))
 
 
-def _scaled_at_nodes(spec, model, theta_deg, n_per_panel, node_order=True):
-    # H(theta) on one grid (c-product, no conjugation).  With node_order,
-    # V_ij is summed node by node, phi_i(r) r^2 w V(r) first, times phi_j(r)
-    # second: the same products in the same order as the per-theta
-    # three-operand einsum, so the same bits.  A BLAS GEMM sums in another
-    # order; H then moves by ~1e-15 relative, and with it the variational
-    # solver's path, which decides the eigenvalues a spectrum scan finds.
+def _scaled_at_nodes(spec, model, theta_deg, n_per_panel):
+    # H(theta) on one grid (c-product, no conjugation); V's real and
+    # imaginary parts each take one real GEMM
     quad = _quadrature(spec, n_per_panel)
     theta = np.radians(theta_deg)
     wv = quad.r2w * eval_potential(model, quad.r * np.exp(1j * theta))
     phi = quad.phi
-    if node_order:
-        v_re, v_im = (np.einsum("mi,mj->ij", phi * part[:, None], phi)
-                      for part in (wv.real, wv.imag))
-    else:
-        v_re, v_im = ((phi.T * part) @ phi for part in (wv.real, wv.imag))
+    v_re, v_im = ((phi.T * part) @ phi for part in (wv.real, wv.imag))
     return np.exp(-2j * theta) * model.hbar2_over_2mu * quad.t_mat + (v_re + 1j * v_im)
 
 
@@ -190,15 +181,13 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     same: the nodes, the weights, the basis functions on the nodes and T,
     for both the base and the node-doubled grid.  Computed at every theta:
     V(r e^(i theta)) on both grids, its matrix, and the node-doubling
-    check.  The matrix returned is summed in the same order as a fresh
-    per-theta assembly, so it does not depend on what was cached; the
-    base-grid matrix that serves only the check is assembled with BLAS.
+    check.
     """
     if not (0.0 <= theta_deg < 45.0):
         raise ValueError("theta must lie in [0, 45) degrees")
     if not check_convergence:
         return _scaled_at_nodes(spec, model, theta_deg, n_per_panel), overlap_matrix(spec)
-    h = _scaled_at_nodes(spec, model, theta_deg, n_per_panel, node_order=False)
+    h = _scaled_at_nodes(spec, model, theta_deg, n_per_panel)
     h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * n_per_panel)
     scale = np.abs(h2).max()
     delta = np.abs(h - h2)
@@ -249,12 +238,9 @@ def solve_spectrum(matrix, overlap=None) -> SpectrumResult:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(energies.real, kind="stable")
     energies, vectors = energies[order], vectors[:, order]
-    s = np.eye(matrix.shape[0]) if overlap is None else np.asarray(overlap)
-    resid = np.array([
-        np.linalg.norm(matrix @ vectors[:, k] - energies[k] * (s @ vectors[:, k]))
-        / np.linalg.norm(vectors[:, k])
-        for k in range(len(energies))
-    ])
+    s_vectors = vectors if overlap is None else np.asarray(overlap) @ vectors
+    resid = (np.linalg.norm(matrix @ vectors - s_vectors * energies, axis=0)
+             / np.linalg.norm(vectors, axis=0))
     return SpectrumResult(energies=energies, vectors=vectors, residuals=resid)
 
 

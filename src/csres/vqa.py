@@ -3,10 +3,13 @@
 The cost function is the expectation of the Hermitianised operator,
 ``L(zeta, E) = <psi(zeta)| (H+ - E*)(H - E) |psi(zeta)>``
             ``= <H+H> - 2 Re(E* <H>) + |E|^2``,
-which vanishes exactly at a right eigenpair.  Both the circuit parameters
-and the complex energy are optimised with BFGS; a short warm-up stage with
-the energy frozen at its initial guess steers the state into the basin of
-the targeted eigenvector before the joint optimisation.
+which vanishes exactly at a right eigenpair.  The circuit parameters and
+the complex energy are fitted jointly, after a short warm-up with the
+energy frozen at its initial guess that steers the state into the basin of
+the targeted eigenvector.  In exact mode the cost is ``|(M - E) psi|^2``
+for the dense encoded matrix M, fitted by least squares; its ``J^T r`` and
+``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
+nothing but H is used.  In shot mode BFGS runs on the sampled cost.
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from .encoding import PauliSum, encode_gray, encode_onehot_jw, pauli_multiply
 from .simulator import Circuit, compiled
 
 ONEHOT_JW = "onehot_jw"
 GRAY = "gray"
+
+INIT_SCALE = 0.1  # half-width of the uniform draw of the initial zeta
+BFGS_GTOL = 1e-8
+BFGS_WARMUP_GTOL = 1e-6
 
 
 def encode_matrix(h, scheme):
@@ -93,38 +100,34 @@ def build_ansatz(params: AnsatzParams, n_qubits: int) -> Circuit:
     return circ
 
 
-def _ansatz_states(param_rows, n, p):
-    """Batched ansatz evaluation; rows of ``param_rows`` are parameter vectors.
+def _ansatz_states(param_rows, n, p, tangent=False):
+    """Batched ansatz evaluation, one sweep over the gates exp(-i t G), G^2 = I.
 
-    Returns states of shape (B, 2^n); numerically identical to running
-    :func:`build_ansatz` + ``apply_circuit`` row by row.
+    Without ``tangent`` the rows of ``param_rows`` are parameter vectors and
+    the states come back as rows, shape (B, 2^n), equal to
+    :func:`build_ansatz` + ``apply_circuit`` row by row.  With ``tangent``,
+    ``param_rows`` is one vector zeta of length d, and the d+1 rows returned
+    are psi and d psi / d zeta_j: row j+1 gets -i G_j right after gate j.
     """
     rows = np.atleast_2d(np.asarray(param_rows, dtype=float))
-    b = rows.shape[0]
-    dim = 2**n
-    ks = np.arange(dim)
-    zsign = 1.0 - 2.0 * ((ks[:, None] >> np.arange(n)[None, :]) & 1)  # (dim, n)
-    psi = np.zeros((b, dim), dtype=complex)
-    psi[:, 0] = 1.0
-    i = 0
-    for _ in range(p):
-        beta = rows[:, i : i + n - 1]
-        i += n - 1
-        gamma = rows[:, i : i + n]
-        i += n
-        delta = rows[:, i : i + n]
-        i += n
-        for q in range(n - 1):
-            mask = (1 << q) | (1 << (q + 1))
-            c = np.cos(beta[:, q : q + 1])
-            s = np.sin(beta[:, q : q + 1])
-            psi = c * psi - 1j * s * psi[:, ks ^ mask]
-        psi = psi * np.exp(-1j * (gamma @ zsign.T))
-        for q in range(n):
-            c = np.cos(delta[:, q : q + 1])
-            s = np.sin(delta[:, q : q + 1])
-            psi = c * psi - 1j * s * psi[:, ks ^ (1 << q)]
-    return psi
+    cos, msin = np.cos(rows).T, -1j * np.sin(rows).T
+    ks = np.arange(2**n)
+    # one layer: XX on (q, q+1), Z_q, X_q, each as G psi = psi[perm] or sign * psi
+    layer = ([(ks ^ (3 << q), None) for q in range(n - 1)]
+             + [(None, (1.0 - 2.0 * (ks >> q & 1))[:, None]) for q in range(n)]
+             + [(ks ^ (1 << q), None) for q in range(n)])
+
+    def generator(states, perm, sign):
+        return states[perm] if sign is None else sign * states
+
+    # the sweep keeps the states as columns
+    psi = np.zeros((ks.size, len(layer) * p + 1 if tangent else len(rows)), dtype=complex)
+    psi[0] = 1.0
+    for j, (perm, sign) in enumerate(layer * p):
+        psi = cos[j] * psi + msin[j] * generator(psi, perm, sign)
+        if tangent:
+            psi[:, j + 1 : j + 2] = -1j * generator(psi[:, j + 1 : j + 2], perm, sign)
+    return psi.T
 
 
 @dataclass
@@ -139,16 +142,13 @@ class VqaConfig:
     init_energy: complex = 0.0 + 0.0j
     scan_step: float = 0.4
     repetitions: int = 20
-    gtol: float = 1e-8
-    maxiter: int = 2000
+    maxiter: int = 2000  # exact mode: cost evaluations; shot mode: BFGS iterations
     warmup: bool = True
     warmup_maxiter: int = 200
-    init_scale: float = 0.1
     cost_tol: float = 1e-6
     cost_tol_rel: float = None  # when set, exact-mode tol = cost_tol_rel * |H|_hs^2
     shot_tol_scale: float = 1e-3
     cluster_radius: float = 0.05
-    fd_step_exact: float = 1e-6
     fd_step_shot: float = 1e-2
 
 
@@ -233,72 +233,97 @@ def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, r
     return float(VarianceCost.combine(e1[0], t1[0], complex(energy)))
 
 
-def _make_objective(vc, config, rng, frozen=None):
-    """Scalar cost over the joint vector [zeta..., E_r, E_i] plus helpers.
+def _make_objective(vc, config, frozen):
+    """Shot-mode cost over the joint vector [zeta..., E_r, E_i] and its gradient.
 
-    Shot mode runs on one frozen noise realisation per call chain (sample
-    average approximation); the run-to-run spread is then read off the
-    median/MAD aggregation over independently seeded runs.
+    Both run on one frozen noise realisation (sample average approximation);
+    the run-to-run spread is then read off the median/MAD aggregation over
+    independently seeded runs.
     """
-    n, p = vc.n_qubits, config.p
-    shots = config.shots
+    n, p, shots, step = vc.n_qubits, config.p, config.shots, config.fd_step_shot
 
-    def brackets_rows(rows):
-        states = _ansatz_states(rows, n, p)
-        if shots is None:
-            return vc.brackets(states)
-        return vc.brackets_sampled(states, shots, rng=rng, frozen=frozen)
+    def brackets(states):
+        return vc.brackets_sampled(states, shots, frozen=frozen)
 
     def fun(x):
-        e1, t1 = brackets_rows(x[None, :-2])
-        e = x[-2] + 1j * x[-1]
-        return float(VarianceCost.combine(np.real(e1[0]), np.atleast_1d(t1)[0], e))
-
-    step = config.fd_step_exact if shots is None else config.fd_step_shot
+        e1, t1 = brackets(_ansatz_states(x[:-2], n, p))
+        return float(VarianceCost.combine(e1[0], t1[0], complex(x[-2], x[-1])))
 
     def grad(x):
-        # central differences; the sampled surface is deterministic and
-        # smooth within one run (frozen noise), so the same stencil works
-        # in both modes
-        d = x.size - 2
-        e = x[-2] + 1j * x[-1]
-        rows = np.repeat(x[None, :-2], 2 * d, axis=0)
-        for i in range(d):
-            rows[2 * i, i] += step
-            rows[2 * i + 1, i] -= step
-        e1, t1 = brackets_rows(rows)
-        c = VarianceCost.combine(e1, t1, e)
-        g = (c[0::2] - c[1::2]) / (2.0 * step)
-        e10, t10 = brackets_rows(x[None, :-2])
-        c_re = [
-            VarianceCost.combine(e10[0], t10[0], (x[-2] + s * step) + 1j * x[-1])
-            for s in (+1, -1)
-        ]
-        c_im = [
-            VarianceCost.combine(e10[0], t10[0], x[-2] + 1j * (x[-1] + s * step))
-            for s in (+1, -1)
-        ]
-        g_e = [(c_re[0] - c_re[1]) / (2 * step), (c_im[0] - c_im[1]) / (2 * step)]
-        return np.concatenate([g, g_e])
+        # central differences in zeta, on states exact from the tangent rows:
+        # G^2 = I gives psi(zeta +- h e_j) = cos h psi +- sin h d_j psi.  The
+        # cost is quadratic in E, with E-gradient 2(E - <H>) at psi, row 0.
+        t = _ansatz_states(x[:-2], n, p, tangent=True)
+        centre, shift = np.cos(step) * t[:1], np.sin(step) * t[1:]
+        e1, t1 = brackets(np.vstack([t[:1], centre + shift, centre - shift]))
+        e = complex(x[-2], x[-1])
+        c_plus, c_minus = np.split(VarianceCost.combine(e1[1:], t1[1:], e), 2)
+        g_e = 2.0 * (e - t1[0])
+        return np.concatenate([(c_plus - c_minus) / (2.0 * step), [g_e.real, g_e.imag]])
 
-    return fun, grad, brackets_rows
+    return fun, grad
+
+
+def _fit_least_squares(m, config, z0, e0):
+    """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
+
+    The residual is [Re; Im] of (M - E) psi, with Jacobian columns
+    (M - E) d_j psi, -psi and -i psi; both stages stop on scipy's own
+    tolerances or their evaluation budget.
+    """
+    n, p = m.shape[0].bit_length() - 1, config.p
+
+    def residual(x):
+        psi = _ansatz_states(x[:-2], n, p)[0]
+        r = m @ psi - complex(x[-2], x[-1]) * psi
+        return np.concatenate([r.real, r.imag])
+
+    def jacobian(x):
+        t = _ansatz_states(x[:-2], n, p, tangent=True)
+        jac = np.vstack([t[1:] @ m.T - complex(x[-2], x[-1]) * t[1:], -t[0], -1j * t[0]]).T
+        return np.vstack([jac.real, jac.imag])
+
+    evaluations = 0
+    if config.warmup:
+        warm = least_squares(lambda z: residual(np.concatenate([z, e0])), z0,
+                             jac=lambda z: jacobian(np.concatenate([z, e0]))[:, :-2],
+                             method="trf", max_nfev=config.warmup_maxiter)
+        z0, evaluations = warm.x, warm.nfev
+    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian,
+                        method="trf", max_nfev=config.maxiter)
+    return res.x, 2.0 * res.cost, evaluations + res.nfev
+
+
+def _fit_bfgs(fun, grad, config, z0, e0):
+    """Shot mode: (x, sampled cost, BFGS iterations), fixed-E warm-up first."""
+    iterations = 0
+    if config.warmup:
+        warm = minimize(lambda z: fun(np.concatenate([z, e0])), z0,
+                        jac=lambda z: grad(np.concatenate([z, e0]))[:-2], method="BFGS",
+                        options=dict(gtol=BFGS_WARMUP_GTOL, maxiter=config.warmup_maxiter))
+        z0, iterations = warm.x, warm.nit
+    res = minimize(fun, np.concatenate([z0, e0]), jac=grad, method="BFGS",
+                   options=dict(gtol=BFGS_GTOL, maxiter=config.maxiter))
+    return res.x, float(res.fun), iterations + res.nit
 
 
 def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed=None,
                       init_params: AnsatzParams = None):
-    """One BFGS run of the variance minimisation; returns an estimate.
+    """One run of the variance minimisation; returns an estimate.
 
     After an optional warm-up with the energy frozen at its initial guess
     (``config.warmup``), the circuit parameters and the complex energy are
-    optimised jointly on the cost built from :class:`VarianceCost`'s
-    brackets, with central-difference gradients.  The brackets are exact,
-    or in shot mode (``config.shots``) sampled on one frozen noise
-    realisation; a shot-mode run is judged converged on its exact cost.
+    fitted jointly: in exact mode by least squares on the dense matrix of
+    ``h_sum``, with ``maxiter``/``warmup_maxiter`` and ``iterations``
+    counting cost evaluations; in shot mode by BFGS on
+    :class:`VarianceCost`'s brackets, sampled on one frozen noise
+    realisation, with central-difference gradients.  A shot-mode run is
+    judged converged on its exact cost.
 
     The circuit parameters start from ``init_params`` when given (e.g. the
     solution at a neighbouring rotation angle), else from a uniform draw of
-    half-width ``config.init_scale`` seeded by ``seed``; in shot mode the
-    seed also fixes the frozen noise realisation.  Never raises on
+    half-width ``INIT_SCALE`` seeded by ``seed``; in shot mode the seed
+    also fixes the frozen noise realisation.  Never raises on
     non-convergence: the estimate reports ``converged=False`` and the
     caller filters.
     """
@@ -307,46 +332,33 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
     init_e = complex(config.init_energy if init_energy is None else init_energy)
     rng = np.random.default_rng(seed)
     n = h_sum.n_qubits
-    vc = VarianceCost(h_sum)
-    frozen = vc.frozen_noise(rng) if config.shots is not None else None
-    fun, grad, _ = _make_objective(vc, config, rng, frozen=frozen)
+    if config.shots is not None:
+        vc = VarianceCost(h_sum)
+        fun, grad = _make_objective(vc, config, vc.frozen_noise(rng))
     if init_params is None:
-        z0 = rng.uniform(-config.init_scale, config.init_scale, config.p * (3 * n - 1))
+        z0 = rng.uniform(-INIT_SCALE, INIT_SCALE, config.p * (3 * n - 1))
     elif init_params.n_qubits != n or init_params.p != config.p:
         raise ValueError("initial ansatz parameters do not match register size and depth")
     else:
         z0 = init_params.to_vector()
-    iterations = 0
-    if config.warmup:
-        warm = minimize(
-            lambda z: fun(np.concatenate([z, [init_e.real, init_e.imag]])),
-            z0,
-            jac=lambda z: grad(np.concatenate([z, [init_e.real, init_e.imag]]))[:-2],
-            method="BFGS",
-            options=dict(gtol=max(config.gtol, 1e-6), maxiter=config.warmup_maxiter),
-        )
-        z0 = warm.x
-        iterations += warm.nit
-    x0 = np.concatenate([z0, [init_e.real, init_e.imag]])
-    res = minimize(fun, x0, jac=grad, method="BFGS",
-                   options=dict(gtol=config.gtol, maxiter=config.maxiter))
-    zeta = res.x[:-2]
-    final_e = complex(res.x[-2], res.x[-1])
-    final_cost = float(res.fun)
-    iterations += res.nit
-    params = AnsatzParams.from_vector(zeta, n, config.p)
-    state = _ansatz_states(zeta[None, :], n, config.p)[0]
+    e0 = np.array([init_e.real, init_e.imag])
     if config.shots is None:
-        tol = (config.cost_tol if config.cost_tol_rel is None
-               else config.cost_tol_rel * vc.hs_norm2)
+        m = h_sum.to_matrix()
+        x, final_cost, iterations = _fit_least_squares(m, config, z0, e0)
+        hs_norm2 = np.linalg.norm(m) ** 2 / m.shape[0]
+        tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * hs_norm2
         converged = final_cost < tol
     else:
+        x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0)
+    zeta, final_e = x[:-2], complex(x[-2], x[-1])
+    state = _ansatz_states(zeta, n, config.p)[0]
+    if config.shots is not None:
         e1, t1 = vc.brackets(state)
         exact_cost = float(VarianceCost.combine(e1, t1, final_e))
         converged = exact_cost < config.shot_tol_scale * vc.hs_norm2
     return EigenpairEstimate(
         energy=final_e,
-        params=params,
+        params=AnsatzParams.from_vector(zeta, n, config.p),
         cost=final_cost,
         converged=bool(converged),
         iterations=int(iterations),

@@ -8,12 +8,16 @@ from scipy.linalg import expm
 from csres import (
     AnsatzParams,
     PauliSum,
+    PotentialModel,
+    RadialBasisSpec,
     VqaConfig,
     aggregate_runs,
     apply_circuit,
     build_ansatz,
+    build_scaled_matrix,
     cost,
     encode_gray,
+    encode_onehot_jw,
     expectation_pauli,
     minimize_variance,
     pauli_decompose,
@@ -68,6 +72,22 @@ class TestBuildAnsatz:
             slow = apply_circuit(zero_state(n), build_ansatz(params, n))
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_tangent_rows_match_central_differences(self, rng, n, p):
+        d = p * (3 * n - 1)
+        zeta = rng.uniform(-0.8, 0.8, d)
+        rows = _ansatz_states(zeta, n, p, tangent=True)
+        assert rows.shape == (d + 1, 2**n)
+        slow = apply_circuit(zero_state(n), build_ansatz(AnsatzParams.from_vector(zeta, n, p), n))
+        np.testing.assert_allclose(rows[0], slow, atol=1e-12)
+        step = 1e-6
+        for j in range(d):
+            shift = np.zeros(d)
+            shift[j] = step
+            fd = (_ansatz_states(zeta + shift, n, p)[0]
+                  - _ansatz_states(zeta - shift, n, p)[0]) / (2 * step)
+            np.testing.assert_allclose(rows[j + 1], fd, atol=1e-8)
+
 
 class TestCost:
     def test_exact_eigenvector_zero_cost(self):
@@ -106,9 +126,11 @@ class TestCost:
 
 class TestGradient:
     def test_fd_gradient_matches_dense_oracle(self, rng, h5_gray):
-        config = VqaConfig(p=2)
+        # with zero frozen noise the shot-mode surface is the exact one
+        config = VqaConfig(p=2, shots=1024, fd_step_shot=1e-6)
         vc = VarianceCost(h5_gray)
-        fun, grad, _ = _make_objective(vc, config, rng)
+        zero = tuple(np.zeros_like(z) for z in vc.frozen_noise(rng))
+        fun, grad = _make_objective(vc, config, zero)
         h_dense = dense_from_terms(h5_gray.items(), 3)
 
         def dense_fun(x):
@@ -230,6 +252,23 @@ class TestMinimize:
         assert b.iterations <= a.iterations
         with pytest.raises(ValueError, match="register size and depth"):
             minimize_variance(h5_gray, VqaConfig(p=2), init_params=a.params)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_scan_run_robust_to_last_bits(self, k):
+        # the criterion-10 run that finds 0.8976 - 1.2954i (seed-77 scan line,
+        # restart 5) must find it whatever the last bits of H
+        h5 = build_scaled_matrix(RadialBasisSpec.gaussian(5, 1, 1.0, 4.0),
+                                 PotentialModel.schematic(), 24.0).matrix
+        rng = np.random.default_rng(k)
+        noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        h = h5 + 1e-16 * np.abs(h5).max() * (noise + noise.T) / 2
+        lam = np.linalg.eigvals(h)
+        lam = lam[np.argmin(np.abs(lam - (0.8976 - 1.2954j)))]
+        config = VqaConfig(p=3, maxiter=400, warmup_maxiter=150, cost_tol_rel=3e-5,
+                           encoding="onehot_jw")
+        est = minimize_variance(encode_onehot_jw(h), config, init_energy=0.75 - 1.3j, seed=82)
+        assert est.converged
+        assert abs(est.energy - lam) < 1e-6
 
     def test_shot_mode_runs_and_classifies(self, h5_gray, h5_matrix):
         lam = sorted(np.linalg.eigvals(h5_matrix), key=lambda z: abs(z))[0]
