@@ -10,6 +10,7 @@ ceil(log2 N) qubits, with padded directions pinned at zero energy.
 import numpy as np
 
 from csres import (
+    PauliSum,
     PotentialModel,
     RadialBasisSpec,
     build_scaled_matrix,
@@ -52,7 +53,8 @@ def main():
 
     print("\nround trip check: reconstructing the dense operator from the")
     print("Gray Pauli terms and re-extracting the physical block ...")
-    dense = gc.to_matrix()
+    # a sum built from the terms alone; gc.to_matrix() is the encoded input itself
+    dense = PauliSum(gc.n_qubits, gc.items()).to_matrix()
     perm = np.array([gray_code(k) for k in range(8)])
     unperm = dense[np.ix_(perm, perm)][:5, :5]
     print(f"    max deviation from the input matrix: {np.abs(unperm - h).max():.2e}")

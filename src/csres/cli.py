@@ -25,6 +25,7 @@ from .hamiltonian import (
     build_raw_matrices,
     build_scaled_matrix,
     classify_spectrum,
+    solve_energies,
     solve_spectrum,
 )
 from .filtration import filtration_report, required_ancillas
@@ -32,6 +33,7 @@ from .trajectory import CLASSICAL, QUANTUM, extract_optimal, run_trajectory
 from .vqa import (
     GRAY,
     ONEHOT_JW,
+    VarianceCost,
     VqaConfig,
     aggregate_spectra,
     encode_matrix,
@@ -232,11 +234,6 @@ def cmd_spectrum_classical(config, args):
     return 0
 
 
-def _scan_one_run(h_sum, vqa, run_index):
-    return scan_spectrum(
-        h_sum, replace(vqa, base_seed=vqa.base_seed + run_index * vqa.repetitions))
-
-
 def cmd_spectrum_quantum(config, args):
     basis = _basis_from(config)
     model = _model_from(config)
@@ -247,9 +244,10 @@ def cmd_spectrum_quantum(config, args):
     radius = _number(config, "aggregate_radius", float, 0.25)
     out = _out_dir(config, args)
     sh = build_scaled_matrix(basis, model, float(thetas[0]))
-    h_sum = encode_matrix(sh.matrix, vqa.encoding)
-    classical = solve_spectrum(sh.matrix).energies
-    per_run = [_scan_one_run(h_sum, vqa, r) for r in range(vqa.n_runs)]
+    vc = VarianceCost(encode_matrix(sh.matrix, vqa.encoding))  # one for every run
+    classical = solve_energies(sh.matrix)
+    per_run = [scan_spectrum(vc, replace(vqa, base_seed=vqa.base_seed + r * vqa.repetitions))
+               for r in range(vqa.n_runs)]
     clusters = aggregate_spectra(per_run, radius=radius)
     if not clusters:
         raise NumericalError("no variational run converged")
@@ -258,7 +256,7 @@ def cmd_spectrum_quantum(config, args):
     records = [run_log_record(e) for run in per_run for e in run]
     artifacts.write_runlog_jsonl(out / "runs.jsonl", records, config)
     reps = [cl["members"][0] for cl in clusters]
-    artifacts.write_states_json(out / "states.json", reps, h_sum.n_qubits, config,
+    artifacts.write_states_json(out / "states.json", reps, vc.n_qubits, config,
                                 seed=vqa.base_seed, encoding=vqa.encoding)
     print(f"wrote {out / 'spectrum_overlay.csv'} ({len(clusters)} quantum clusters)")
     return 0

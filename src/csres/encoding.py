@@ -7,8 +7,6 @@ dense form of a string is ``kron(P[n-1], ..., P[1], P[0])``.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 COEFF_CUTOFF = 1e-14
@@ -37,7 +35,7 @@ class PauliSum:
 
     Terms are kept merged (no duplicate letter strings) and coefficients
     below ``COEFF_CUTOFF`` are dropped.  Instances are immutable by
-    convention; algebra returns new sums.
+    convention; algebra returns new sums.  The dense form is built once.
     """
 
     def __init__(self, n_qubits, terms):
@@ -52,6 +50,7 @@ class PauliSum:
         self._terms = {
             s: c for s, c in sorted(merged.items()) if abs(c) > COEFF_CUTOFF
         }
+        self._matrix = None
 
     def items(self):
         return list(self._terms.items())
@@ -77,29 +76,15 @@ class PauliSum:
         return PauliSum(self.n_qubits, {s: factor * c for s, c in self._terms.items()})
 
     def to_matrix(self) -> np.ndarray:
-        dim = 2**self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for s, c in self._terms.items():
-            out += c * _string_matrix(s)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"coeff_re": c.real, "coeff_im": c.imag, "letters": s}
-                for s, c in self._terms.items()
-            ]
-        )
-
-    @classmethod
-    def from_json(cls, text, n_qubits=None):
-        entries = json.loads(text)
-        if not entries and n_qubits is None:
-            raise ValueError("empty dump needs an explicit register size")
-        n = n_qubits if n_qubits is not None else len(entries[0]["letters"])
-        return cls(
-            n, {e["letters"]: e["coeff_re"] + 1j * e["coeff_im"] for e in entries}
-        )
+        """Dense form ``sum c_P P``, read-only and the same array on every call."""
+        if self._matrix is None:
+            dim = 2**self.n_qubits
+            out = np.zeros((dim, dim), dtype=complex)
+            for s, c in self._terms.items():
+                out += c * _string_matrix(s)
+            out.setflags(write=False)
+            self._matrix = out
+        return self._matrix
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
@@ -134,7 +119,8 @@ def string_masks(letters):
 def pauli_decompose(matrix) -> PauliSum:
     """Expand a square matrix in the Pauli basis, ``c_P = Tr(P M) / 2^n``.
 
-    The reconstruction ``sum c_P P`` is exact.  Dimension must be a power
+    The reconstruction ``sum c_P P`` is exact; the sum keeps a read-only
+    copy of ``matrix`` as its ``to_matrix()``.  Dimension must be a power
     of two (zero-pad first otherwise).
     """
     matrix = np.asarray(matrix, dtype=complex)
@@ -162,7 +148,10 @@ def pauli_decompose(matrix) -> PauliSum:
             # with P = i^{n_y} X^x Z^z, Tr(P M)/2^n = i^{n_y} * coeffs[z]
             n_y = (int(x) & int(z)).bit_count()
             terms[_letters_from_masks(int(x), int(z), n)] = (1j**n_y) * c
-    return PauliSum(n, terms)
+    out = PauliSum(n, terms)
+    out._matrix = matrix.copy()
+    out._matrix.setflags(write=False)
+    return out
 
 
 def _letters_from_masks(x, z, n):
@@ -232,7 +221,8 @@ def encode_gray(h) -> PauliSum:
 
     Basis index k is stored in the register as the Gray word g(k); h is
     zero-padded to the next power of two, so padded directions are exact
-    zero eigenvectors of the encoded operator.
+    zero eigenvectors of the encoded operator, whose ``to_matrix()`` is
+    the padded h with rows and columns permuted.
     """
     h = np.asarray(h, dtype=complex)
     n_basis = h.shape[0]

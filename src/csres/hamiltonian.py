@@ -229,19 +229,26 @@ def solve_spectrum(matrix, overlap=None) -> SpectrumResult:
     standard problem.  Eigenpairs are sorted by real part.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    try:
-        if overlap is None:
-            energies, vectors = sla.eig(matrix)
-        else:
-            energies, vectors = sla.eig(matrix, np.asarray(overlap))
-    except sla.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    energies, vectors = _eig(sla.eig, matrix, overlap)
     order = np.argsort(energies.real, kind="stable")
     energies, vectors = energies[order], vectors[:, order]
     s_vectors = vectors if overlap is None else np.asarray(overlap) @ vectors
     resid = (np.linalg.norm(matrix @ vectors - s_vectors * energies, axis=0)
              / np.linalg.norm(vectors, axis=0))
     return SpectrumResult(energies=energies, vectors=vectors, residuals=resid)
+
+
+def solve_energies(matrix, overlap=None) -> np.ndarray:
+    """The energies of :func:`solve_spectrum`, sorted alike, without vectors."""
+    energies = _eig(sla.eigvals, np.asarray(matrix, dtype=complex), overlap)
+    return energies[np.argsort(energies.real, kind="stable")]
+
+
+def _eig(solver, matrix, overlap):
+    try:
+        return solver(matrix, None if overlap is None else np.asarray(overlap))
+    except sla.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def critical_angle(energy: complex) -> float:

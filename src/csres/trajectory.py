@@ -20,8 +20,9 @@ import numpy as np
 
 from .basis import RadialBasisSpec
 from .errors import NumericalError
-from .hamiltonian import PotentialModel, build_raw_matrices, build_scaled_matrix, solve_spectrum
-from .vqa import VqaConfig, encode_matrix, minimize_variance
+from .hamiltonian import PotentialModel, build_raw_matrices, build_scaled_matrix, solve_energies
+from .hamiltonian import solve_spectrum  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .vqa import VarianceCost, VqaConfig, encode_matrix, minimize_variance
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -82,9 +83,9 @@ def run_trajectory(
 ) -> ThetaTrajectory:
     """Follow one resonance across the theta grid.
 
-    Classical engine: solve the generalised eigenproblem at each theta and
-    continue from the eigenvalue nearest the previously accepted point
-    (first point: nearest the center).
+    Classical engine: solve the generalised eigenproblem at each theta
+    (eigenvalues only) and continue from the eigenvalue nearest the
+    previously accepted point (first point: nearest the center).
 
     Quantum engine: continue from the last accepted eigenpair.  The
     variational solver starts from its circuit parameters and energy,
@@ -97,7 +98,8 @@ def run_trajectory(
     not count toward ``attempts``.  Every run draws its seed from one
     per-theta scheme, ``base_seed + 1000 * round(2 theta) + k``, with
     ``k = 0 .. attempts - 1`` for the restarts and ``k = attempts`` for the
-    warm start, so in shot mode each theta gets its own frozen noise.
+    warm start, so in shot mode each theta gets its own frozen noise.  The
+    runs of one theta share one :class:`VarianceCost`.
 
     Either way a point is accepted only inside the neighbourhood
     |E - center| <= radius; the per-theta log records how it was accepted
@@ -112,7 +114,7 @@ def run_trajectory(
         prev = center
         for th in thetas:
             h_raw, s = build_raw_matrices(basis, potential, th)
-            energies = solve_spectrum(h_raw, overlap=s).energies
+            energies = solve_energies(h_raw, overlap=s)
             pick = energies[np.argmin(np.abs(energies - prev))]
             if abs(pick - center) <= radius:
                 points.append(TrajectoryPoint(float(th), complex(pick), CLASSICAL))
@@ -130,12 +132,12 @@ def run_trajectory(
         last = None  # last accepted EigenpairEstimate
         for th in thetas:
             sh = build_scaled_matrix(basis, potential, th)
-            h_sum = encode_matrix(sh.matrix, vqa_config.encoding)
+            vc = VarianceCost(encode_matrix(sh.matrix, vqa_config.encoding))
             seed0 = vqa_config.base_seed + 1000 * int(round(2 * th))
             reason = "no attempt converged inside neighborhood"
             accepted = None
             if last is not None:
-                est = minimize_variance(h_sum, warm_config, init_energy=last.energy,
+                est = minimize_variance(vc, warm_config, init_energy=last.energy,
                                         seed=seed0 + attempts, init_params=last.params)
                 reason = _rejection(est, center, radius)
                 if reason is None:
@@ -145,7 +147,7 @@ def run_trajectory(
                                 th, reason, attempts)
             if accepted is None:
                 for attempt in range(attempts):
-                    est = minimize_variance(h_sum, vqa_config, seed=seed0 + attempt)
+                    est = minimize_variance(vc, vqa_config, seed=seed0 + attempt)
                     reason = _rejection(est, center, radius)
                     if reason is None:
                         accepted, how = est, f"restart {attempt}"

@@ -9,12 +9,14 @@ energy frozen at its initial guess that steers the state into the basin of
 the targeted eigenvector.  In exact mode the cost is ``|(M - E) psi|^2``
 for the dense encoded matrix M, fitted by least squares; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
-nothing but H is used.  In shot mode BFGS runs on the sampled cost.
+nothing but H is used.  In shot mode BFGS runs on the sampled cost.  One
+:class:`VarianceCost` per operator holds M and, in shot mode only, H and H+H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
@@ -168,27 +170,31 @@ class EigenpairEstimate:
 
 
 class VarianceCost:
-    """The brackets <H+H> and <H> of one Pauli-encoded operator.
+    """The variance cost of one encoded operator H; build it once per operator.
 
-    ``H+H`` and ``H`` are built and compiled once per instance; only the
-    linear combination with the energy changes between evaluations.  Both
-    bracket methods take a batch of states as rows; the shot-sampled one
-    uses the shot model of the compiled sums (``_CompiledSum.sampled``).
+    Exact quantities come from the dense matrix M = ``h_sum.to_matrix()``
+    (for Gray code, the permuted and zero-padded H): the cost
+    ``|(M - E) psi|^2`` and ``hs_norm2 = |M|_F^2 / 2^n``.  H and H+H are
+    compiled on first shot-mode use.  States come as rows.
     """
 
     def __init__(self, h_sum: PauliSum):
         self.n_qubits = h_sum.n_qubits
-        self._ch = compiled(h_sum)
-        self._chdh = compiled(pauli_multiply(h_sum.dagger(), h_sum))
-        self.hs_norm2 = float(sum(abs(c) ** 2 for _, c in h_sum.items()))
+        self.matrix = h_sum.to_matrix()
+        self.hs_norm2 = float(np.linalg.norm(self.matrix) ** 2 / self.matrix.shape[0])
+        self._h_sum = h_sum
 
-    def brackets(self, states):
-        """(<H+H>, <H>) for a batch of states (rows)."""
-        psi = np.asarray(states)
-        cols = psi.T if psi.ndim == 2 else psi
-        e1 = np.real(self._chdh.expectation(cols))
-        t1 = self._ch.expectation(cols)
-        return e1, t1
+    @cached_property
+    def _compiled(self):
+        """(H+H, H) as compiled sums; H+H is the product ``pauli_multiply(H+, H)``."""
+        h = self._h_sum
+        return compiled(pauli_multiply(h.dagger(), h)), compiled(h)
+
+    def exact(self, states, energy):
+        """|(M - E) psi|^2 for a batch of states (rows)."""
+        psi = np.atleast_2d(states)
+        r = psi @ self.matrix.T - complex(energy) * psi
+        return np.einsum("ij,ij->i", r.conj(), r).real
 
     def brackets_sampled(self, states, shots, rng=None, frozen=None):
         """Shot-sampled (<H+H>, <H>) for a batch of states (rows).
@@ -200,36 +206,36 @@ class VarianceCost:
         deterministic sampled surface while the run-to-run spread still
         carries the full shot noise.
         """
+        chdh, ch = self._compiled
         cols = np.atleast_2d(np.asarray(states)).T
         z_hdh, z_h = (None, None) if frozen is None else frozen
-        e1 = self._chdh.sampled(cols, shots, rng=rng, frozen=z_hdh)
-        t1 = self._ch.sampled(cols, shots, rng=rng, frozen=z_h)
+        e1 = chdh.sampled(cols, shots, rng=rng, frozen=z_hdh)
+        t1 = ch.sampled(cols, shots, rng=rng, frozen=z_h)
         return np.real(e1), t1
 
     def frozen_noise(self, rng):
         """One standard-normal variate per Pauli string of <H+H> and <H>."""
-        return (
-            rng.standard_normal(len(self._chdh.order)),
-            rng.standard_normal(len(self._ch.order)),
-        )
+        return tuple(rng.standard_normal(len(c.order)) for c in self._compiled)
 
     @staticmethod
     def combine(e1, t1, energy):
         return e1 - 2.0 * np.real(np.conj(energy) * t1) + abs(energy) ** 2
 
 
+def _variance_cost(h):
+    return h if isinstance(h, VarianceCost) else VarianceCost(h)
+
+
 def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, rng=None):
     """Energy-parameterised variance cost for a single evaluation."""
     if params.n_qubits != h_sum.n_qubits:
         raise ValueError("ansatz register size mismatch")
-    vc = VarianceCost(h_sum)
+    vc = _variance_cost(h_sum)
     states = _ansatz_states(params.to_vector(), params.n_qubits, params.p)
     if shots is None:
-        e1, t1 = vc.brackets(states)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        e1, t1 = vc.brackets_sampled(states, shots, rng)
+        return float(vc.exact(states, energy)[0])
+    rng = np.random.default_rng(seed) if rng is None else rng
+    e1, t1 = vc.brackets_sampled(states, shots, rng)
     return float(VarianceCost.combine(e1[0], t1[0], complex(energy)))
 
 
@@ -307,18 +313,19 @@ def _fit_bfgs(fun, grad, config, z0, e0):
     return res.x, float(res.fun), iterations + res.nit
 
 
-def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed=None,
+def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
                       init_params: AnsatzParams = None):
     """One run of the variance minimisation; returns an estimate.
 
-    After an optional warm-up with the energy frozen at its initial guess
-    (``config.warmup``), the circuit parameters and the complex energy are
-    fitted jointly: in exact mode by least squares on the dense matrix of
-    ``h_sum``, with ``maxiter``/``warmup_maxiter`` and ``iterations``
-    counting cost evaluations; in shot mode by BFGS on
+    ``h``: a :class:`PauliSum`, or the :class:`VarianceCost` that runs on
+    one operator share.  After an optional warm-up with the energy frozen
+    at its initial guess (``config.warmup``), the circuit parameters and
+    the complex energy are fitted jointly: in exact mode by least squares
+    on the dense matrix, with ``maxiter``/``warmup_maxiter`` and
+    ``iterations`` counting cost evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise
-    realisation, with central-difference gradients.  A shot-mode run is
-    judged converged on its exact cost.
+    realisation, with central-difference gradients.  Either run is judged
+    converged on the exact cost of its final state.
 
     The circuit parameters start from ``init_params`` when given (e.g. the
     solution at a neighbouring rotation angle), else from a uniform draw of
@@ -327,13 +334,13 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
     non-convergence: the estimate reports ``converged=False`` and the
     caller filters.
     """
+    vc = _variance_cost(h)
     if seed is None:
         seed = config.base_seed
     init_e = complex(config.init_energy if init_energy is None else init_energy)
     rng = np.random.default_rng(seed)
-    n = h_sum.n_qubits
+    n = vc.n_qubits
     if config.shots is not None:
-        vc = VarianceCost(h_sum)
         fun, grad = _make_objective(vc, config, vc.frozen_noise(rng))
     if init_params is None:
         z0 = rng.uniform(-INIT_SCALE, INIT_SCALE, config.p * (3 * n - 1))
@@ -343,24 +350,18 @@ def minimize_variance(h_sum: PauliSum, config: VqaConfig, init_energy=None, seed
         z0 = init_params.to_vector()
     e0 = np.array([init_e.real, init_e.imag])
     if config.shots is None:
-        m = h_sum.to_matrix()
-        x, final_cost, iterations = _fit_least_squares(m, config, z0, e0)
-        hs_norm2 = np.linalg.norm(m) ** 2 / m.shape[0]
-        tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * hs_norm2
-        converged = final_cost < tol
+        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0)
+        tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
     else:
         x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0)
+        tol = config.shot_tol_scale * vc.hs_norm2
     zeta, final_e = x[:-2], complex(x[-2], x[-1])
     state = _ansatz_states(zeta, n, config.p)[0]
-    if config.shots is not None:
-        e1, t1 = vc.brackets(state)
-        exact_cost = float(VarianceCost.combine(e1, t1, final_e))
-        converged = exact_cost < config.shot_tol_scale * vc.hs_norm2
     return EigenpairEstimate(
         energy=final_e,
         params=AnsatzParams.from_vector(zeta, n, config.p),
         cost=final_cost,
-        converged=bool(converged),
+        converged=bool(vc.exact(state, final_e)[0] < tol),
         iterations=int(iterations),
         seed=int(seed),
         init_energy=init_e,
@@ -385,19 +386,21 @@ def cluster_estimates(estimates, radius):
     return clusters
 
 
-def scan_spectrum(h_sum: PauliSum, config: VqaConfig):
+def scan_spectrum(h, config: VqaConfig):
     """Algorithm-style spectrum scan: step the initial E_r, dedup by clustering.
 
-    Returns cluster representatives (lowest cost) sorted by real part, each
-    carrying its cluster multiplicity.  Non-converged runs are dropped.
+    ``h``: a :class:`PauliSum` or its :class:`VarianceCost`, one for all
+    repetitions.  Returns cluster representatives (lowest cost) sorted by
+    real part, each with its cluster multiplicity; non-converged runs drop.
     """
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    vc = _variance_cost(h)
     results = []
     for k in range(config.repetitions):
         init_e = config.init_energy + k * config.scan_step
         est = minimize_variance(
-            h_sum, config, init_energy=init_e, seed=config.base_seed + k
+            vc, config, init_energy=init_e, seed=config.base_seed + k
         )
         if est.converged:
             results.append(est)

@@ -136,6 +136,23 @@ class TestGray:
         combined = np.concatenate([physical, np.zeros(3)])
         assert match_eigen_sets(combined, full) < 1e-10
 
+    def test_dense_form_is_the_permuted_padded_matrix(self, h5_matrix):
+        padded = np.zeros((8, 8), dtype=complex)
+        padded[:5, :5] = h5_matrix
+        perm = [gray_code(k) for k in range(8)]
+        expect = np.zeros_like(padded)
+        expect[np.ix_(perm, perm)] = padded
+        ps = encode_gray(h5_matrix)
+        dense = ps.to_matrix()
+        np.testing.assert_array_equal(dense, expect)
+        assert not dense.flags.writeable
+        assert ps.to_matrix() is dense
+
+    def test_terms_rebuild_the_dense_form(self, h5_matrix):
+        # the Pauli terms feed shot mode; they must encode the same matrix
+        ps = encode_gray(h5_matrix)
+        assert np.abs(dense_from_terms(ps.items(), 3) - ps.to_matrix()).max() < 1e-12
+
     def test_spectrum_preserved_exactly(self, rng):
         for dim in (3, 6, 7):
             m = random_complex_matrix(rng, dim)
@@ -184,10 +201,6 @@ class TestPauliSumBasics:
 
     def test_term_count_bound(self, h5_gray):
         assert len(h5_gray) < 2 ** (2 * h5_gray.n_qubits)
-
-    def test_json_roundtrip(self, h5_gray):
-        back = PauliSum.from_json(h5_gray.to_json())
-        assert back.items() == h5_gray.items()
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from csres import (
     solve_spectrum,
 )
 
+from csres.hamiltonian import solve_energies
+
 from oracles import charpoly_eigenvalues, gauss_kinetic_closed
 
 
@@ -180,6 +182,14 @@ class TestSolveSpectrum:
         gen = solve_spectrum(h_raw, overlap=s).energies
         ortho = solve_spectrum(build_scaled_matrix(small_gauss_basis, schematic, 20.0).matrix).energies
         np.testing.assert_allclose(gen, ortho, atol=1e-8)
+
+    def test_energies_only_match_the_full_solve(self, small_gauss_basis, schematic):
+        h_raw, s = build_raw_matrices(small_gauss_basis, schematic, 20.0)
+        h = build_scaled_matrix(small_gauss_basis, schematic, 20.0).matrix
+        for matrix, overlap in ((h_raw, s), (h, None)):
+            np.testing.assert_allclose(solve_energies(matrix, overlap=overlap),
+                                       solve_spectrum(matrix, overlap=overlap).energies,
+                                       rtol=1e-12, atol=0)
 
     def test_theta_continuity(self, schematic):
         spec = RadialBasisSpec.gaussian(16, 1, 1.0, 15.0)

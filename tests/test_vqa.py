@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from csres import (
     scan_spectrum,
     zero_state,
 )
+import csres.vqa
 from csres.vqa import VarianceCost, _ansatz_states, _make_objective
 
 from oracles import dense_from_terms, kron_pauli
@@ -182,15 +184,16 @@ class TestBrackets:
         states = _ansatz_states(rng.uniform(-0.8, 0.8, (3, 3 * (3 * 3 - 1))), 3, 3)
         zero = tuple(np.zeros_like(z) for z in vc.frozen_noise(rng))
         e1, t1 = vc.brackets_sampled(states, shots, frozen=zero)
-        e1_exact, t1_exact = vc.brackets(states)
-        np.testing.assert_allclose(e1, e1_exact, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(t1, t1_exact, rtol=0, atol=1e-12)
+        hdh = pauli_multiply(h5_gray.dagger(), h5_gray)
+        for value, psum in ((e1, hdh), (t1, h5_gray)):
+            dense = dense_from_terms(psum.items(), 3)
+            exact = np.einsum("bi,ij,bj->b", states.conj(), dense, states)
+            np.testing.assert_allclose(value, exact, rtol=0, atol=1e-12)
 
         frozen = vc.frozen_noise(rng)
         got = vc.brackets_sampled(states, shots, frozen=frozen)
-        hdh = pauli_multiply(h5_gray.dagger(), h5_gray)
-        for psum, order, z, values in zip((hdh, h5_gray), (vc._chdh.order, vc._ch.order),
-                                          frozen, got):
+        orders = (c.order for c in vc._compiled)
+        for psum, order, z, values in zip((hdh, h5_gray), orders, frozen, got):
             assert "III" in order
             for psi, value in zip(states, values):
                 oracle = 0.0
@@ -270,6 +273,13 @@ class TestMinimize:
         assert est.converged
         assert abs(est.energy - lam) < 1e-6
 
+    @pytest.mark.parametrize("shots", [None, 512])
+    def test_variance_cost_argument_gives_the_same_run(self, h5_gray, shots):
+        config = VqaConfig(p=2, shots=shots, maxiter=40, warmup_maxiter=20)
+        a = minimize_variance(h5_gray, config, init_energy=1.0 - 0.1j, seed=4)
+        b = minimize_variance(VarianceCost(h5_gray), config, init_energy=1.0 - 0.1j, seed=4)
+        assert (a.energy, a.cost, a.iterations) == (b.energy, b.cost, b.iterations)
+
     def test_shot_mode_runs_and_classifies(self, h5_gray, h5_matrix):
         lam = sorted(np.linalg.eigvals(h5_matrix), key=lambda z: abs(z))[0]
         config = VqaConfig(p=3, shots=2048, maxiter=150, warmup_maxiter=60)
@@ -292,6 +302,19 @@ class TestScanAggregate:
         assert hits >= 3  # scan line reaches most of the spectrum
         for est in found:
             assert est.multiplicity >= 1
+
+    def test_shot_scan_builds_the_cost_operator_once(self, h5_gray, monkeypatch):
+        calls = {"pauli_multiply": 0, "compiled": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(csres.vqa, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(csres.vqa, name, counted)
+        config = VqaConfig(p=1, shots=256, repetitions=3, maxiter=5, warmup_maxiter=5)
+        scan_spectrum(h5_gray, config)
+        assert calls == {"pauli_multiply": 1, "compiled": 2}
+        scan_spectrum(h5_gray, replace(config, shots=None))
+        assert calls == {"pauli_multiply": 1, "compiled": 2}  # exact mode builds neither
 
     def test_aggregate_identical_values(self):
         med, mad = aggregate_runs([1.0 + 1.0j] * 5)
