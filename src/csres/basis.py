@@ -25,6 +25,7 @@ from .errors import NumericalError
 
 GAUSSIAN = "gaussian"
 HARMONIC_OSCILLATOR = "ho"
+COND_MAX = 1e14  # largest overlap condition number the Gram-Schmidt route accepts
 
 
 @dataclass(frozen=True)
@@ -146,32 +147,32 @@ def overlap_matrix(spec: RadialBasisSpec) -> np.ndarray:
     return (2.0 * np.sqrt(ai * aj) / (ai + aj)) ** (spec.l + 1.5)
 
 
-def _condition_offender(overlap, cond_max):
+def _condition_offender(overlap):
     # smallest leading block whose condition number already exceeds the bound
     for k in range(2, overlap.shape[0] + 1):
         w = np.linalg.eigvalsh(overlap[:k, :k])
-        if w[-1] > cond_max * max(w[0], 0.0):
+        if w[-1] > COND_MAX * max(w[0], 0.0):
             return k - 1
     return overlap.shape[0] - 1
 
 
-def gram_schmidt_transform(spec: RadialBasisSpec, cond_max: float = 1e14) -> OrthoTransform:
+def gram_schmidt_transform(spec: RadialBasisSpec) -> OrthoTransform:
     """Sequential Gram-Schmidt orthonormalisation of the raw basis.
 
     Function k is orthogonalised against functions 0..k-1 (one
     reorthogonalisation pass for numerical accuracy).  Raises
     :class:`NumericalError` when the overlap matrix is numerically
-    dependent (condition number above ``cond_max``).
+    dependent (condition number above ``COND_MAX``).
     """
     s = overlap_matrix(spec)
     if spec.family == HARMONIC_OSCILLATOR:
         return OrthoTransform(c=np.eye(spec.n), overlap=s)
     w = np.linalg.eigvalsh(s)
-    if w[0] <= 0.0 or w[-1] / w[0] > cond_max:
+    if w[0] <= 0.0 or w[-1] / w[0] > COND_MAX:
         raise NumericalError(
             f"overlap matrix numerically dependent (cond {w[-1] / max(w[0], 1e-300):.2e} "
-            f"> {cond_max:.0e}); first offending basis index: "
-            f"{_condition_offender(s, cond_max)}"
+            f"> {COND_MAX:.0e}); first offending basis index: "
+            f"{_condition_offender(s)}"
         )
     n = spec.n
     c = np.zeros((n, n))
@@ -224,10 +225,11 @@ def basis_matrix(spec: RadialBasisSpec, r) -> np.ndarray:
 def kinetic_applied(spec: RadialBasisSpec, idx: int, r) -> np.ndarray:
     """Radial kinetic operator applied to basis function ``idx``.
 
-    Returns ``(-phi'' - (2/r) phi' + l(l+1) phi / r^2)`` evaluated with
-    analytic derivatives, i.e. the kinetic operator without its
-    ``hbar^2/2mu`` prefactor, so that
-    ``T_ij = prefactor * int phi_i [kinetic_applied_j] r^2 dr``.
+    Returns ``(-phi'' - (2/r) phi' + l(l+1) phi / r^2)``, i.e. the kinetic
+    operator without its ``hbar^2/2mu`` prefactor, so that
+    ``T_ij = prefactor * int phi_i [kinetic_applied_j] r^2 dr``.  Gaussian
+    functions take analytic derivatives; an HO function solves the
+    oscillator equation, so it equals ``((4n + 2l + 3)/b^2 - r^2/b^4) phi``.
     """
     l = spec.l
     r = np.asarray(r, dtype=float)
@@ -237,40 +239,5 @@ def kinetic_applied(spec: RadialBasisSpec, idx: int, r) -> np.ndarray:
         return norm * np.exp(-alpha * r**2) * (
             2.0 * alpha * (2 * l + 3) * r**l - 4.0 * alpha**2 * r ** (l + 2)
         )
-    return _ho_kinetic_applied(spec, idx, r)
-
-
-def _ho_kinetic_applied(spec, idx, r):
-    # phi = C (r/b)^l e^{-x/2} L_n^{l+1/2}(x), x = r^2/b^2;
-    # assemble -phi'' - (2/r)phi' + l(l+1)phi/r^2 from analytic derivatives,
-    # using d/dx L_n^a = -L_{n-1}^{a+1}.
-    b, l, n = spec.b, spec.l, idx
-    x = (r / b) ** 2
-    cnorm = np.exp(
-        0.5 * (np.log(2.0) + gammaln(n + 1) - gammaln(n + l + 1.5))
-    ) * b ** (-1.5)
-    lag = laguerre_upward(n, l + 0.5, x)
-    dlag = -laguerre_upward(n - 1, l + 1.5, x) if n >= 1 else np.zeros_like(x)
-    d2lag = laguerre_upward(n - 2, l + 2.5, x) if n >= 2 else np.zeros_like(x)
-    e = np.exp(-x / 2.0)
-    rl = (r / b) ** l
-    rl1 = (l / b) * (r / b) ** (l - 1) if l >= 1 else np.zeros_like(r)
-    rl2 = (l * (l - 1) / b**2) * (r / b) ** (l - 2) if l >= 2 else np.zeros_like(r)
-    e1 = -(r / b**2) * e
-    e2 = (-1.0 / b**2 + (r / b**2) ** 2) * e
-    x1 = 2.0 * r / b**2
-    x2 = 2.0 / b**2
-    dphi = cnorm * (rl1 * e * lag + rl * e1 * lag + rl * e * dlag * x1)
-    d2phi = cnorm * (
-        rl2 * e * lag
-        + 2.0 * rl1 * e1 * lag
-        + 2.0 * rl1 * e * dlag * x1
-        + rl * e2 * lag
-        + 2.0 * rl * e1 * dlag * x1
-        + rl * e * d2lag * x1**2
-        + rl * e * dlag * x2
-    )
-    phi = cnorm * rl * e * lag
-    out = -d2phi - 2.0 * dphi / r
-    out += l * (l + 1) * phi / r**2
-    return out
+    b = spec.b
+    return ((4 * idx + 2 * l + 3) / b**2 - r**2 / b**4) * eval_ho_radial(spec, idx, r)

@@ -133,15 +133,17 @@ def _model_from(config) -> PotentialModel:
     if not m:
         raise ConfigError("config needs a 'model' section")
     kind = m.get("kind")
-    overrides = {k: v for k, v in m.items() if k != "kind"}
+    names = [k for k in m if k != "kind"]
     try:
         if kind == "schematic":
-            if overrides:
+            if names:
                 raise ConfigError("schematic model takes no parameters")
             return PotentialModel.schematic()
         if kind == "alpha_alpha":
-            return PotentialModel.alpha_alpha(**overrides)
-    except (TypeError, ValueError) as exc:
+            return PotentialModel.alpha_alpha(**{
+                k: _number(config, f"model.{k}", int if k in ("z1", "z2") else float)
+                for k in names})
+    except ValueError as exc:
         raise ConfigError(f"invalid model section: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -156,9 +158,11 @@ def _theta_grid(config):
             raise ConfigError("theta must lie inside [0, 45) degrees")
         return np.array([value])
     start, stop, step = (_number(config, f"theta.{k}", float) for k in ("start", "stop", "step"))
+    if not step > 0.0:
+        raise ConfigError(f"theta.step must be > 0, got {step!r}")
     try:
         grid = np.arange(start, stop, step)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid theta section: {exc}") from exc
     if grid.size == 0:
         raise ConfigError("theta grid is empty")
@@ -184,7 +188,6 @@ def _vqa_from(config, seed_override=None, exact=False) -> VqaConfig:
         encoding=encoding,
         p=_number(config, "ansatz.p", int, VqaConfig.p, minimum=1),
         shots=None if exact else shots,
-        n_runs=_number(config, "runs.n_runs", int, VqaConfig.n_runs, minimum=1),
         base_seed=_base_seed(config, seed_override),
         init_energy=complex(
             _number(config, "scan.e_start_re", float, VqaConfig.init_energy.real),
@@ -206,8 +209,14 @@ def _neighborhood(config):
 
 
 def _out_dir(config, args):
-    out = Path(args.out if args.out else config.get("out_dir", "results"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out if args.out else config.get("out_dir", "results")
+    if not isinstance(out, str):
+        raise ConfigError(f"out_dir must be a path, got {out!r}")
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
     return out
 
 
@@ -241,13 +250,14 @@ def cmd_spectrum_quantum(config, args):
     if thetas.size != 1:
         raise ConfigError("spectrum-quantum expects a single theta value")
     vqa = _vqa_from(config, args.seed, args.exact)
+    n_runs = _number(config, "runs.n_runs", int, 1, minimum=1)
     radius = _number(config, "aggregate_radius", float, 0.25)
     out = _out_dir(config, args)
     sh = build_scaled_matrix(basis, model, float(thetas[0]))
     vc = VarianceCost(encode_matrix(sh.matrix, vqa.encoding))  # one for every run
     classical = solve_energies(sh.matrix)
     per_run = [scan_spectrum(vc, replace(vqa, base_seed=vqa.base_seed + r * vqa.repetitions))
-               for r in range(vqa.n_runs)]
+               for r in range(n_runs)]
     clusters = aggregate_spectra(per_run, radius=radius)
     if not clusters:
         raise NumericalError("no variational run converged")

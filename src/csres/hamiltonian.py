@@ -37,6 +37,7 @@ ALPHA_ALPHA = "alpha_alpha"
 # and -22.2 MeV and its 0+ resonance at 92.12 keV.
 HBAR2_OVER_2MU_ALPHA = 10.3675
 E2_MEV_FM = 1.43996  # e^2 = alpha * hbar c
+BOUND_IMAG_TOL = 1e-3  # MeV; |E_i| below it counts as on the real axis
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def _scaled_at_nodes(spec, model, theta_deg, n_per_panel):
 
 
 def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
-                       n_per_panel: int = 48, check_convergence: bool = True):
+                       n_per_panel: int = 48):
     """Raw-basis scaled Hamiltonian and overlap, ``(H(theta), S)``.
 
     ``H_ij = e^(-2 i theta) * prefactor * T_ij + int phi_i V(r e^(i theta))
@@ -185,8 +186,6 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     """
     if not (0.0 <= theta_deg < 45.0):
         raise ValueError("theta must lie in [0, 45) degrees")
-    if not check_convergence:
-        return _scaled_at_nodes(spec, model, theta_deg, n_per_panel), overlap_matrix(spec)
     h = _scaled_at_nodes(spec, model, theta_deg, n_per_panel)
     h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * n_per_panel)
     scale = np.abs(h2).max()
@@ -263,19 +262,19 @@ def critical_angle(energy: complex) -> float:
     return float(np.degrees(0.5 * np.arctan(gamma / (2.0 * energy.real))))
 
 
-def classify_spectrum(energies, theta_deg, tol_b=1e-3, tol_c_deg=3.0):
+def classify_spectrum(energies, theta_deg, tol_c_deg=3.0):
     """Label eigenvalues as bound / continuum / resonance-candidate.
 
-    Bound: negative real part on the real axis (|E_i| < tol_b).  Continuum:
-    phase within ``tol_c_deg`` of the rotated ray at ``-2 theta``.
-    Everything else is a resonance candidate.
+    Bound: negative real part on the real axis (|E_i| <
+    ``BOUND_IMAG_TOL``).  Continuum: phase within ``tol_c_deg`` of the
+    rotated ray at ``-2 theta``.  Everything else is a resonance candidate.
     """
     if theta_deg <= 0.0:
         raise ValueError("classification needs theta > 0")
     labels = []
     ray = -2.0 * theta_deg
     for e in np.asarray(energies, dtype=complex):
-        if e.real < 0.0 and abs(e.imag) < tol_b:
+        if e.real < 0.0 and abs(e.imag) < BOUND_IMAG_TOL:
             labels.append("bound")
             continue
         ang = np.degrees(np.angle(e)) if abs(e) > 0 else 0.0

@@ -14,7 +14,7 @@ moves slowly in one component only.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ThetaTrajectory:
 
     points: list
     log: list = field(default_factory=list)  # (theta, accepted, reason)
-    meta: dict = field(default_factory=dict)
 
     @property
     def energies(self):
@@ -88,13 +87,14 @@ def run_trajectory(
     previously accepted point (first point: nearest the center).
 
     Quantum engine: continue from the last accepted eigenpair.  The
-    variational solver starts from its circuit parameters and energy,
-    with no warm-up stage (the state already sits in the resonance's
-    basin).  If that warm start does not converge or lands outside the
-    neighbourhood, the failure is logged (``logging`` at INFO) and up to
-    ``attempts`` seeded restarts from ``vqa_config.init_energy`` with
-    random parameters follow; the first theta, and every theta before a
-    point is accepted, goes straight to the restarts.  The warm start does
+    variational solver starts from its circuit parameters and energy, so
+    it skips its fixed-E warm-up (the state already sits in the
+    resonance's basin).  If that warm start does not converge or lands
+    outside the neighbourhood, the failure is logged (``logging`` at INFO)
+    and up to ``attempts`` seeded restarts from ``vqa_config.init_energy``
+    with random parameters, each with its warm-up, follow; the first
+    theta, and every theta before a point is accepted, goes straight to
+    the restarts.  The warm start does
     not count toward ``attempts``.  Every run draws its seed from one
     per-theta scheme, ``base_seed + 1000 * round(2 theta) + k``, with
     ``k = 0 .. attempts - 1`` for the restarts and ``k = attempts`` for the
@@ -128,7 +128,6 @@ def run_trajectory(
     elif engine == QUANTUM:
         if vqa_config is None:
             raise ValueError("quantum engine needs a VqaConfig")
-        warm_config = replace(vqa_config, warmup=False)
         last = None  # last accepted EigenpairEstimate
         for th in thetas:
             sh = build_scaled_matrix(basis, potential, th)
@@ -137,7 +136,7 @@ def run_trajectory(
             reason = "no attempt converged inside neighborhood"
             accepted = None
             if last is not None:
-                est = minimize_variance(vc, warm_config, init_energy=last.energy,
+                est = minimize_variance(vc, vqa_config, init_energy=last.energy,
                                         seed=seed0 + attempts, init_params=last.params)
                 reason = _rejection(est, center, radius)
                 if reason is None:
@@ -163,15 +162,7 @@ def run_trajectory(
     if not points:
         detail = "; ".join(f"theta={t:g}: {r}" for t, ok, r in log if not ok)
         raise NumericalError(f"empty trajectory, no theta accepted ({detail})")
-    meta = {
-        "basis": basis,
-        "potential": potential,
-        "center": center,
-        "radius": float(radius),
-        "theta_grid": thetas,
-        "engine": engine,
-    }
-    return ThetaTrajectory(points=points, log=log, meta=meta)
+    return ThetaTrajectory(points=points, log=log)
 
 
 def _rejection(est, center, radius):

@@ -4,10 +4,12 @@ The cost function is the expectation of the Hermitianised operator,
 ``L(zeta, E) = <psi(zeta)| (H+ - E*)(H - E) |psi(zeta)>``
             ``= <H+H> - 2 Re(E* <H>) + |E|^2``,
 which vanishes exactly at a right eigenpair.  The circuit parameters and
-the complex energy are fitted jointly, after a short warm-up with the
-energy frozen at its initial guess that steers the state into the basin of
-the targeted eigenvector.  In exact mode the cost is ``|(M - E) psi|^2``
-for the dense encoded matrix M, fitted by least squares; its ``J^T r`` and
+the complex energy are fitted jointly.  A run whose circuit parameters are
+drawn at random first takes a short warm-up with the energy frozen at its
+initial guess, which steers the state into the basin of the targeted
+eigenvector; a run started from given parameters skips it.  In exact mode
+the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
+least squares; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
 nothing but H is used.  In shot mode BFGS runs on the sampled cost.  One
 :class:`VarianceCost` per operator holds M and, in shot mode only, H and H+H.
@@ -28,6 +30,7 @@ ONEHOT_JW = "onehot_jw"
 GRAY = "gray"
 
 INIT_SCALE = 0.1  # half-width of the uniform draw of the initial zeta
+CLUSTER_RADIUS = 0.05  # scan_spectrum merges converged energies this close
 BFGS_GTOL = 1e-8
 BFGS_WARMUP_GTOL = 1e-6
 
@@ -139,18 +142,15 @@ class VqaConfig:
     encoding: str = GRAY
     p: int = 3
     shots: int = None
-    n_runs: int = 1
     base_seed: int = 7
     init_energy: complex = 0.0 + 0.0j
     scan_step: float = 0.4
     repetitions: int = 20
     maxiter: int = 2000  # exact mode: cost evaluations; shot mode: BFGS iterations
-    warmup: bool = True
-    warmup_maxiter: int = 200
+    warmup_maxiter: int = 200  # fixed-E warm-up of a random start, same units
     cost_tol: float = 1e-6
     cost_tol_rel: float = None  # when set, exact-mode tol = cost_tol_rel * |H|_hs^2
     shot_tol_scale: float = 1e-3
-    cluster_radius: float = 0.05
     fd_step_shot: float = 1e-2
 
 
@@ -270,7 +270,7 @@ def _make_objective(vc, config, frozen):
     return fun, grad
 
 
-def _fit_least_squares(m, config, z0, e0):
+def _fit_least_squares(m, config, z0, e0, warmup):
     """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
     The residual is [Re; Im] of (M - E) psi, with Jacobian columns
@@ -290,7 +290,7 @@ def _fit_least_squares(m, config, z0, e0):
         return np.vstack([jac.real, jac.imag])
 
     evaluations = 0
-    if config.warmup:
+    if warmup:
         warm = least_squares(lambda z: residual(np.concatenate([z, e0])), z0,
                              jac=lambda z: jacobian(np.concatenate([z, e0]))[:, :-2],
                              method="trf", max_nfev=config.warmup_maxiter)
@@ -300,10 +300,10 @@ def _fit_least_squares(m, config, z0, e0):
     return res.x, 2.0 * res.cost, evaluations + res.nfev
 
 
-def _fit_bfgs(fun, grad, config, z0, e0):
-    """Shot mode: (x, sampled cost, BFGS iterations), fixed-E warm-up first."""
+def _fit_bfgs(fun, grad, config, z0, e0, warmup):
+    """Shot mode: (x, sampled cost, BFGS iterations), any fixed-E warm-up first."""
     iterations = 0
-    if config.warmup:
+    if warmup:
         warm = minimize(lambda z: fun(np.concatenate([z, e0])), z0,
                         jac=lambda z: grad(np.concatenate([z, e0]))[:-2], method="BFGS",
                         options=dict(gtol=BFGS_WARMUP_GTOL, maxiter=config.warmup_maxiter))
@@ -318,11 +318,10 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     """One run of the variance minimisation; returns an estimate.
 
     ``h``: a :class:`PauliSum`, or the :class:`VarianceCost` that runs on
-    one operator share.  After an optional warm-up with the energy frozen
-    at its initial guess (``config.warmup``), the circuit parameters and
-    the complex energy are fitted jointly: in exact mode by least squares
-    on the dense matrix, with ``maxiter``/``warmup_maxiter`` and
-    ``iterations`` counting cost evaluations; in shot mode by BFGS on
+    one operator share.  The circuit parameters and the complex energy are
+    fitted jointly: in exact mode by least squares on the dense matrix,
+    with ``maxiter``/``warmup_maxiter`` and ``iterations`` counting cost
+    evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise
     realisation, with central-difference gradients.  Either run is judged
     converged on the exact cost of its final state.
@@ -330,9 +329,12 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     The circuit parameters start from ``init_params`` when given (e.g. the
     solution at a neighbouring rotation angle), else from a uniform draw of
     half-width ``INIT_SCALE`` seeded by ``seed``; in shot mode the seed
-    also fixes the frozen noise realisation.  Never raises on
-    non-convergence: the estimate reports ``converged=False`` and the
-    caller filters.
+    also fixes the frozen noise realisation.  A random start first takes a
+    warm-up of at most ``warmup_maxiter`` with the energy frozen at its
+    initial guess, which steers the state into the basin of the targeted
+    eigenvector; a given start already sits in its basin and skips it.
+    Never raises on non-convergence: the estimate reports
+    ``converged=False`` and the caller filters.
     """
     vc = _variance_cost(h)
     if seed is None:
@@ -349,11 +351,12 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     else:
         z0 = init_params.to_vector()
     e0 = np.array([init_e.real, init_e.imag])
+    warmup = init_params is None
     if config.shots is None:
-        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0)
+        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0, warmup)
         tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
     else:
-        x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0)
+        x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0, warmup)
         tol = config.shot_tol_scale * vc.hs_norm2
     zeta, final_e = x[:-2], complex(x[-2], x[-1])
     state = _ansatz_states(zeta, n, config.p)[0]
@@ -392,6 +395,7 @@ def scan_spectrum(h, config: VqaConfig):
     ``h``: a :class:`PauliSum` or its :class:`VarianceCost`, one for all
     repetitions.  Returns cluster representatives (lowest cost) sorted by
     real part, each with its cluster multiplicity; non-converged runs drop.
+    Estimates within ``CLUSTER_RADIUS`` of a cluster's first member join it.
     """
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -405,7 +409,7 @@ def scan_spectrum(h, config: VqaConfig):
         if est.converged:
             results.append(est)
     reps = []
-    for cl in cluster_estimates(results, config.cluster_radius):
+    for cl in cluster_estimates(results, CLUSTER_RADIUS):
         best = min(cl, key=lambda e: e.cost)
         reps.append(replace(best, multiplicity=len(cl)))
     reps.sort(key=lambda e: (e.energy.real, e.energy.imag))

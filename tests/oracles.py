@@ -72,6 +72,14 @@ def gauss_kinetic_closed(alphas, l):
     return (2 * l + 3) * 2.0 * ai * aj / (ai + aj) * s
 
 
+def ho_kinetic_closed(n, l, b):
+    """Closed-form HO kinetic matrix (prefactor 1), tridiagonal:
+    T_kk = (2k + l + 3/2) / b^2, T_{k,k+1} = sqrt((k+1)(k + l + 3/2)) / b^2."""
+    k = np.arange(n)
+    off = np.sqrt((k[:-1] + 1) * (k[:-1] + l + 1.5))
+    return (np.diag(2 * k + l + 1.5) + np.diag(off, 1) + np.diag(off, -1)) / b**2
+
+
 def match_eigen_sets(a, b):
     """Greedy nearest matching of two eigenvalue multisets; returns the
     largest pairwise distance."""

@@ -68,6 +68,10 @@ class TestConfigValidation:
         ("trajectory", {"engine": "quantm"}),
         ("spectrum-quantum", {"ansatz": {"p": 2.5}}),
         ("spectrum-quantum", {"threads": 2}),
+        ("spectrum-classical", {"model": {"kind": "alpha_alpha", "v0": "deep"}}),
+        ("trajectory", {"model": {"kind": "alpha_alpha", "z1": [1, 2]}}),
+        ("trajectory", {"theta": {"start": 20.0, "stop": 2.0, "step": -1.0}}),
+        ("spectrum-classical", {"out_dir": 5}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
         doc = {
@@ -81,6 +85,25 @@ class TestConfigValidation:
         }
         cfg = write_yaml(tmp_path / "c.yaml", doc)
         assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "config"
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("via", ["out_dir", "--out"])
+    def test_out_path_that_is_a_file_is_config_error(self, tmp_path, capsys, via):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"value": 24.0},
+        }
+        if via == "out_dir":
+            doc["out_dir"] = str(taken)
+        cfg = write_yaml(tmp_path / "c.yaml", doc)
+        argv = ["spectrum-classical", "--config", cfg]
+        assert main(argv + (["--out", str(taken)] if via == "--out" else [])) == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "config"
         assert "Traceback" not in err

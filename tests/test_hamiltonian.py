@@ -15,7 +15,7 @@ from csres import (
 
 from csres.hamiltonian import solve_energies
 
-from oracles import charpoly_eigenvalues, gauss_kinetic_closed
+from oracles import charpoly_eigenvalues, gauss_kinetic_closed, ho_kinetic_closed
 
 
 class TestEvalPotential:
@@ -68,16 +68,21 @@ class TestBuildScaledMatrix:
         assert np.abs(sh.matrix - sh.matrix.T).max() < 1e-10 * scale
 
     def test_kinetic_against_closed_form(self, schematic):
-        # quadrature kinetic vs analytic Gaussian-Gaussian closed form
+        # quadrature kinetic vs the closed forms (Gaussian-Gaussian, HO tridiagonal)
         from csres.basis import basis_matrix, geometric_alphas, kinetic_applied, quadrature_grid
 
-        spec = RadialBasisSpec.gaussian(6, 1, 0.5, 5.0)
-        r, w = quadrature_grid(spec)
-        phis = basis_matrix(spec, r)
-        kin = np.array([kinetic_applied(spec, k, r) for k in range(spec.n)])
-        t_quad = np.einsum("im,m,jm->ij", phis, w * r**2, kin)
-        t_closed = gauss_kinetic_closed(geometric_alphas(spec), spec.l)
-        np.testing.assert_allclose(t_quad, t_closed, atol=1e-10 * np.abs(t_closed).max())
+        for spec in (RadialBasisSpec.gaussian(6, 1, 0.5, 5.0), RadialBasisSpec.ho(10, 0, 1.36),
+                     RadialBasisSpec.ho(10, 2, 1.36), RadialBasisSpec.ho(10, 4, 0.8)):
+            r, w = quadrature_grid(spec)
+            phis = basis_matrix(spec, r)
+            kin = np.array([kinetic_applied(spec, k, r) for k in range(spec.n)])
+            t_quad = np.einsum("im,m,jm->ij", phis, w * r**2, kin)
+            if spec.family == "gaussian":
+                t_closed = gauss_kinetic_closed(geometric_alphas(spec), spec.l)
+            else:
+                t_closed = ho_kinetic_closed(spec.n, spec.l, spec.b)
+            np.testing.assert_allclose(t_quad, t_closed,
+                                       atol=1e-10 * np.abs(t_closed).max(), err_msg=str(spec))
 
     def test_quadrature_convergence_guard(self, small_gauss_basis, schematic):
         with pytest.raises(NumericalError, match="matrix element"):
@@ -133,10 +138,10 @@ class TestPerBasisAssembly:
             np.testing.assert_allclose(h, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
     def test_other_n_per_panel_not_served_from_cache(self, small_gauss_basis, schematic):
-        coarse, _ = build_raw_matrices(small_gauss_basis, schematic, 20.0,
-                                       n_per_panel=4, check_convergence=False)
-        fine, _ = build_raw_matrices(small_gauss_basis, schematic, 20.0,
-                                     n_per_panel=5, check_convergence=False)
+        from csres import hamiltonian
+
+        coarse = hamiltonian._scaled_at_nodes(small_gauss_basis, schematic, 20.0, 4)
+        fine = hamiltonian._scaled_at_nodes(small_gauss_basis, schematic, 20.0, 5)
         for h, n in ((coarse, 4), (fine, 5)):
             oracle = _einsum_raw_h(small_gauss_basis, schematic, 20.0, n)
             np.testing.assert_allclose(h, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())

@@ -249,12 +249,28 @@ class TestMinimize:
         lam = sorted(np.linalg.eigvals(h5_matrix), key=lambda z: abs(z))[0]
         a = minimize_variance(h5_gray, VqaConfig(p=3), init_energy=lam + 0.1, seed=3)
         assert a.converged
-        b = minimize_variance(h5_gray, VqaConfig(p=3, warmup=False),
-                              init_energy=a.energy, seed=7, init_params=a.params)
+        b = minimize_variance(h5_gray, VqaConfig(p=3), init_energy=a.energy, seed=7,
+                              init_params=a.params)
         assert b.converged and abs(b.energy - lam) < 1e-3
         assert b.iterations <= a.iterations
         with pytest.raises(ValueError, match="register size and depth"):
             minimize_variance(h5_gray, VqaConfig(p=2), init_params=a.params)
+
+    @pytest.mark.parametrize("shots, solver", [(None, "least_squares"), (256, "minimize")])
+    def test_warmup_runs_exactly_for_a_random_start(self, h5_gray, monkeypatch,
+                                                   shots, solver):
+        calls = []
+
+        def counted(*args, _fn=getattr(csres.vqa, solver), **kwargs):
+            calls.append(solver)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(csres.vqa, solver, counted)
+        config = VqaConfig(p=1, shots=shots, maxiter=5, warmup_maxiter=5)
+        start = minimize_variance(h5_gray, config, seed=3)
+        assert len(calls) == 2  # fixed-E warm-up, then the joint fit
+        minimize_variance(h5_gray, config, seed=3, init_params=start.params)
+        assert len(calls) == 3  # the joint fit alone
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_scan_run_robust_to_last_bits(self, k):
