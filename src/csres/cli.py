@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ import yaml
 
 from . import artifacts
 from .basis import RadialBasisSpec
+from .encoding import gray_qubits
 from .errors import ConfigError, CsresError, NumericalError
 from .hamiltonian import (
     PotentialModel,
@@ -59,6 +61,9 @@ _SCHEMA = {
     "out_dir": None,
 }
 
+MAX_THETA_POINTS = 10_000  # a theta grid longer than this is a config error
+MAX_QUBITS = 12  # the dense encoded matrix of 12 qubits takes 256 MiB
+
 
 def load_config(path) -> dict:
     try:
@@ -87,8 +92,8 @@ def _number(config, path, kind, default=_REQUIRED, minimum=None):
     """The config value at ``path`` ("key" or "section.key") as ``kind``.
 
     ``kind`` is int or float.  A missing or null value gives ``default``;
-    without one it is a ConfigError.  A value that is not a number of that
-    kind, or lies below ``minimum``, is a ConfigError.
+    without one it is a ConfigError.  A value that is not a finite number
+    of that kind, or lies below ``minimum``, is a ConfigError.
     """
     section, _, key = path.rpartition(".")
     value = ((config.get(section) or {}) if section else config).get(key)
@@ -101,10 +106,11 @@ def _number(config, path, kind, default=_REQUIRED, minimum=None):
         kind is int and isinstance(value, float) and not value.is_integer())
     try:
         number = kind(value)
+        bad = bad or (kind is float and not math.isfinite(number))
     except (TypeError, ValueError, OverflowError):
         bad = True
     if bad:
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{path} must be {what}, got {value!r}")
     if minimum is not None and number < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
@@ -160,15 +166,16 @@ def _theta_grid(config):
     start, stop, step = (_number(config, f"theta.{k}", float) for k in ("start", "stop", "step"))
     if not step > 0.0:
         raise ConfigError(f"theta.step must be > 0, got {step!r}")
-    try:
-        grid = np.arange(start, stop, step)
-    except ValueError as exc:
-        raise ConfigError(f"invalid theta section: {exc}") from exc
-    if grid.size == 0:
+    # size and range from np.arange's own length rule, before it allocates
+    span = (stop - start) / step
+    if not span <= MAX_THETA_POINTS:  # also an overflow to inf
+        raise ConfigError(f"theta grid has more than {MAX_THETA_POINTS} points")
+    count = math.ceil(span)
+    if count < 1:
         raise ConfigError("theta grid is empty")
-    if grid[0] < 0.0 or grid[-1] >= 45.0:
+    if start < 0.0 or start + (count - 1) * step >= 45.0:
         raise ConfigError("theta grid must lie inside [0, 45) degrees")
-    return grid
+    return np.arange(start, stop, step)
 
 
 def _base_seed(config, seed_override):
@@ -197,6 +204,14 @@ def _vqa_from(config, seed_override=None, exact=False) -> VqaConfig:
                             minimum=1),
         cost_tol=_number(config, "cost_tol", float, VqaConfig.cost_tol),
     )
+
+
+def _check_register(basis, vqa):
+    """ConfigError if the encoded register is too large for its dense matrix."""
+    n_qubits = basis.n if vqa.encoding == ONEHOT_JW else gray_qubits(basis.n)
+    if n_qubits > MAX_QUBITS:
+        raise ConfigError(f"{vqa.encoding} encoding of {basis.n} basis states needs "
+                          f"{n_qubits} qubits, more than {MAX_QUBITS}")
 
 
 def _neighborhood(config):
@@ -250,6 +265,7 @@ def cmd_spectrum_quantum(config, args):
     if thetas.size != 1:
         raise ConfigError("spectrum-quantum expects a single theta value")
     vqa = _vqa_from(config, args.seed, args.exact)
+    _check_register(basis, vqa)
     n_runs = _number(config, "runs.n_runs", int, 1, minimum=1)
     radius = _number(config, "aggregate_radius", float, 0.25)
     out = _out_dir(config, args)
@@ -285,6 +301,7 @@ def cmd_trajectory(config, args):
     vqa = None
     if engine == QUANTUM:
         vqa = _vqa_from(config, args.seed, args.exact)
+        _check_register(basis, vqa)
         if config.get("cost_tol") is None:
             vqa.cost_tol_rel = 1e-5  # finite-depth ansatz floor, see README
     out = _out_dir(config, args)

@@ -216,6 +216,11 @@ def gray_code(k: int) -> int:
     return k ^ (k >> 1)
 
 
+def gray_qubits(n_basis: int) -> int:
+    """Register size ``ceil(log2 N)`` (at least 1) of the Gray code for N states."""
+    return max(1, (n_basis - 1).bit_length())
+
+
 def encode_gray(h) -> PauliSum:
     """Gray-code image of h on ``ceil(log2 N)`` qubits.
 
@@ -226,7 +231,7 @@ def encode_gray(h) -> PauliSum:
     """
     h = np.asarray(h, dtype=complex)
     n_basis = h.shape[0]
-    n = max(1, int(np.ceil(np.log2(max(n_basis, 2)))))
+    n = gray_qubits(n_basis)
     dim = 2**n
     padded = np.zeros((dim, dim), dtype=complex)
     padded[:n_basis, :n_basis] = h

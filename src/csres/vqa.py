@@ -33,6 +33,11 @@ INIT_SCALE = 0.1  # half-width of the uniform draw of the initial zeta
 CLUSTER_RADIUS = 0.05  # scan_spectrum merges converged energies this close
 BFGS_GTOL = 1e-8
 BFGS_WARMUP_GTOL = 1e-6
+# exact-mode stopping rules: the warm-up only has to pick the basin; the
+# joint fit stops once its cost is under the converged tolerance and E
+# has settled to this relative step between accepted iterations
+LSQ_WARMUP_FTOL = 1e-2
+LSQ_ENERGY_RTOL = 1e-7
 
 
 def encode_matrix(h, scheme):
@@ -270,12 +275,18 @@ def _make_objective(vc, config, frozen):
     return fun, grad
 
 
-def _fit_least_squares(m, config, z0, e0, warmup):
+def _fit_least_squares(m, config, z0, e0, warmup, tol):
     """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
     The residual is [Re; Im] of (M - E) psi, with Jacobian columns
-    (M - E) d_j psi, -psi and -i psi; both stages stop on scipy's own
-    tolerances or their evaluation budget.
+    (M - E) d_j psi, -psi and -i psi.  The fixed-E warm-up has a nonzero
+    residual by construction, so it stops at an ``ftol`` of
+    ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit stops
+    when the exact cost is already under the converged tolerance ``tol``
+    and E moved by less than ``LSQ_ENERGY_RTOL * max(1, |E|)`` since the
+    last accepted iteration; the cost guard keeps a stalled E far from an
+    eigenvalue from stopping it.  Either stage also stops on scipy's own
+    tolerances or its evaluation budget.
     """
     n, p = m.shape[0].bit_length() - 1, config.p
 
@@ -289,14 +300,26 @@ def _fit_least_squares(m, config, z0, e0, warmup):
         jac = np.vstack([t[1:] @ m.T - complex(x[-2], x[-1]) * t[1:], -t[0], -1j * t[0]]).T
         return np.vstack([jac.real, jac.imag])
 
+    last_e = None
+
+    def stop_when_settled(intermediate_result):
+        nonlocal last_e
+        e = complex(*intermediate_result.x[-2:])
+        settled = (last_e is not None and 2.0 * intermediate_result.cost < tol
+                   and abs(e - last_e) < LSQ_ENERGY_RTOL * max(1.0, abs(e)))
+        last_e = e
+        if settled:
+            raise StopIteration
+
     evaluations = 0
     if warmup:
         warm = least_squares(lambda z: residual(np.concatenate([z, e0])), z0,
                              jac=lambda z: jacobian(np.concatenate([z, e0]))[:, :-2],
-                             method="trf", max_nfev=config.warmup_maxiter)
+                             method="trf", ftol=LSQ_WARMUP_FTOL,
+                             max_nfev=config.warmup_maxiter)
         z0, evaluations = warm.x, warm.nfev
-    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian,
-                        method="trf", max_nfev=config.maxiter)
+    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian, method="trf",
+                        max_nfev=config.maxiter, callback=stop_when_settled)
     return res.x, 2.0 * res.cost, evaluations + res.nfev
 
 
@@ -320,8 +343,9 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     ``h``: a :class:`PauliSum`, or the :class:`VarianceCost` that runs on
     one operator share.  The circuit parameters and the complex energy are
     fitted jointly: in exact mode by least squares on the dense matrix,
-    with ``maxiter``/``warmup_maxiter`` and ``iterations`` counting cost
-    evaluations; in shot mode by BFGS on
+    each stage stopping once it has done its job (see
+    :func:`_fit_least_squares`), with ``maxiter``/``warmup_maxiter`` and
+    ``iterations`` counting cost evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise
     realisation, with central-difference gradients.  Either run is judged
     converged on the exact cost of its final state.
@@ -353,8 +377,8 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     e0 = np.array([init_e.real, init_e.imag])
     warmup = init_params is None
     if config.shots is None:
-        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0, warmup)
         tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
+        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0, warmup, tol)
     else:
         x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0, warmup)
         tol = config.shot_tol_scale * vc.hs_norm2

@@ -72,6 +72,8 @@ class TestConfigValidation:
         ("trajectory", {"model": {"kind": "alpha_alpha", "z1": [1, 2]}}),
         ("trajectory", {"theta": {"start": 20.0, "stop": 2.0, "step": -1.0}}),
         ("spectrum-classical", {"out_dir": 5}),
+        ("spectrum-classical", {"model": {"kind": "alpha_alpha", "hbar2_over_2mu": float("nan")}}),
+        ("spectrum-classical", {"model": {"kind": "alpha_alpha", "k": float("inf")}}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
         doc = {
@@ -89,6 +91,25 @@ class TestConfigValidation:
         assert json.loads(err)["error"] == "config"
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("command, override, message", [
+        ("spectrum-classical", {"theta": {"start": 1.0, "stop": 1e9, "step": 1e-9}}, "points"),
+        ("spectrum-quantum", {"basis": {"family": "ho", "n": 40, "l": 0, "b": 1.36}}, "qubits"),
+    ])
+    def test_oversized_request_is_config_error(self, tmp_path, capsys, command, override,
+                                               message):
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"value": 24.0},
+            "encoding": "onehot_jw",
+            "out_dir": str(tmp_path / "out"),
+            **override,
+        }
+        cfg = write_yaml(tmp_path / "c.yaml", doc)
+        assert main([command, "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and message in err["message"]
 
     @pytest.mark.parametrize("via", ["out_dir", "--out"])
     def test_out_path_that_is_a_file_is_config_error(self, tmp_path, capsys, via):

@@ -256,6 +256,27 @@ class TestMinimize:
         with pytest.raises(ValueError, match="register size and depth"):
             minimize_variance(h5_gray, VqaConfig(p=2), init_params=a.params)
 
+    def test_warm_start_stops_before_its_budget(self):
+        # a trajectory step at the quantum-trajectory settings (Gray N = 16,
+        # narrow schematic pole): the joint fit from the converged solution
+        # at the neighbouring angle stops once it has settled, not at maxiter
+        basis = RadialBasisSpec.gaussian(16, 1, 1.0, 15.0)
+        config = VqaConfig(p=3, init_energy=1.1 - 0.0j, maxiter=300, warmup_maxiter=120,
+                           cost_tol_rel=1e-5)
+
+        def operator(theta):
+            h = build_scaled_matrix(basis, PotentialModel.schematic(), theta).matrix
+            return encode_gray(h), np.linalg.eigvals(h)
+
+        before = minimize_variance(operator(12.5)[0], config, seed=2)
+        assert before.converged
+        h_sum, lam = operator(13.0)
+        est = minimize_variance(h_sum, config, init_energy=before.energy,
+                                init_params=before.params)
+        assert est.converged
+        assert np.abs(lam - est.energy).min() < 1e-4
+        assert est.iterations < config.maxiter
+
     @pytest.mark.parametrize("shots, solver", [(None, "least_squares"), (256, "minimize")])
     def test_warmup_runs_exactly_for_a_random_start(self, h5_gray, monkeypatch,
                                                    shots, solver):
@@ -272,7 +293,7 @@ class TestMinimize:
         minimize_variance(h5_gray, config, seed=3, init_params=start.params)
         assert len(calls) == 3  # the joint fit alone
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", range(16))
     def test_scan_run_robust_to_last_bits(self, k):
         # the criterion-10 run that finds 0.8976 - 1.2954i (seed-77 scan line,
         # restart 5) must find it whatever the last bits of H
