@@ -152,21 +152,26 @@ def expectation_pauli(state, letters) -> float:
     return float(val.real)
 
 
+def term_order(psum: PauliSum):
+    """The strings of ``psum`` grouped by X mask, ascending, in their own order
+    within a group: the order of a compiled sum's per-term values."""
+    return sorted((letters for letters, _ in psum.items()), key=lambda s: string_masks(s)[0])
+
+
 class _CompiledSum:
-    """Pauli sum grouped by X-mask, for repeated exact or shot-sampled expectations."""
+    """Pauli sum grouped by X-mask, for repeated per-term or summed expectations."""
 
     def __init__(self, psum: PauliSum):
         self.n_qubits = psum.n_qubits
         dim = 2**psum.n_qubits
         ks = np.arange(dim)
         groups = {}
-        for letters, coeff in psum.items():
+        for letters in term_order(psum):
             x, z, phase = string_masks(letters)
-            groups.setdefault(x, []).append((letters, coeff, z, phase))
+            groups.setdefault(x, []).append((letters, psum.coefficient(letters), z, phase))
         self.groups = []
         self.order = []  # letter order matching concatenated per-term values
-        for x in sorted(groups):
-            entries = groups[x]
+        for x, entries in groups.items():
             signs = np.array(
                 [1 - 2 * (np.bitwise_count(ks & z).astype(np.int64) & 1) for _, _, z, _ in entries],
                 dtype=float,
@@ -199,28 +204,30 @@ class _CompiledSum:
             total = total + (coeffs * phases) @ vals
         return total
 
-    def sampled(self, psi, shots, rng=None, frozen=None):
-        """Shot-sampled <psi|A|psi>; psi may be (dim,) or (dim, B).
 
-        Every Pauli string is measured on its own with ``shots`` samples of
-        its +-1 eigenvalue, whose mean m is clipped to [-1, 1]; identity
-        strings are exact.  With ``rng`` each string draws a fresh binomial
-        count.  With ``frozen`` (one standard-normal z per string, order
-        ``self.order``) the estimate is ``m + z sqrt((1 - m^2)/shots)``,
-        the Gaussian limit of the shot average, smooth in psi and the same
-        noise realisation on every call.
-        """
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        ms = np.clip(self.term_expectations(psi).real, -1.0, 1.0)
-        if frozen is not None:
-            z = frozen[:, None] if ms.ndim == 2 else frozen
-            est = ms + z * np.sqrt(np.maximum(1.0 - ms**2, 0.0) / shots)
-        else:
-            counts = rng.binomial(shots, 0.5 * (1.0 + ms))
-            est = 2.0 * counts / shots - 1.0
-        est[self.is_identity] = 1.0
-        return self.coeffs @ est
+def shot_estimate(ms, coeffs, is_identity, shots, rng=None, frozen=None):
+    """The shot model: sum_k c_k m_k with every m_k measured on its own.
+
+    ``ms`` are the exact per-string means, shape (strings,) or (strings, B),
+    in the order of ``coeffs`` and ``is_identity``.  Every string is
+    measured with ``shots`` samples of its +-1 eigenvalue, whose mean m is
+    clipped to [-1, 1]; identity strings are exact.  With ``rng`` each
+    string draws a fresh binomial count, in row order.  With ``frozen`` (one
+    standard-normal z per string, same order) the estimate is
+    ``m + z sqrt((1 - m^2)/shots)``, the Gaussian limit of the shot
+    average, smooth in psi and the same noise realisation on every call.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    ms = np.clip(np.real(ms), -1.0, 1.0)
+    if frozen is not None:
+        z = frozen[:, None] if ms.ndim == 2 else frozen
+        est = ms + z * np.sqrt(np.maximum(1.0 - ms**2, 0.0) / shots)
+    else:
+        counts = rng.binomial(shots, 0.5 * (1.0 + ms))
+        est = 2.0 * counts / shots - 1.0
+    est[is_identity] = 1.0
+    return coeffs @ est
 
 
 def compiled(psum: PauliSum) -> _CompiledSum:
@@ -232,7 +239,7 @@ def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> c
     """<psi|A|psi> for a Pauli sum.
 
     Exact mode (``shots`` omitted): sum of per-string expectations.  Shot
-    mode: the fresh-binomial shot model of ``_CompiledSum.sampled`` (every
+    mode: the fresh-binomial shot model of :func:`shot_estimate` (every
     string measured on its own, identity strings exact), reproducible for a
     given seed or generator.
     """
@@ -242,7 +249,8 @@ def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> c
         return complex(comp.expectation(psi))
     if rng is None:
         rng = np.random.default_rng(seed)
-    return complex(comp.sampled(psi, shots, rng=rng))
+    return complex(shot_estimate(comp.term_expectations(psi), comp.coeffs, comp.is_identity,
+                                 shots, rng=rng))
 
 
 def sample_counts(state, shots, seed=None, rng=None) -> dict:

@@ -11,20 +11,26 @@ eigenvector; a run started from given parameters skips it.  In exact mode
 the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
 least squares; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
-nothing but H is used.  In shot mode BFGS runs on the sampled cost.  One
-:class:`VarianceCost` per operator holds M and, in shot mode only, H and H+H.
+nothing but H is used.  In shot mode BFGS runs on the sampled cost: each
+step is one evaluation, whose single pass over the strings of H+H and H
+gives the cost at psi and its central-difference gradient.  One
+:class:`VarianceCost` per operator
+holds M and, in shot mode only, H and H+H.  The ansatz is evaluated as a
+sweep over commuting blocks, each diagonal in the computational or the
+Hadamard frame (:func:`_sweep_plan`), with the tangent states alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .encoding import PauliSum, encode_gray, encode_onehot_jw, pauli_multiply
-from .simulator import Circuit, compiled
+from .simulator import Circuit, compiled, shot_estimate, term_order
 
 ONEHOT_JW = "onehot_jw"
 GRAY = "gray"
@@ -110,34 +116,83 @@ def build_ansatz(params: AnsatzParams, n_qubits: int) -> Circuit:
     return circ
 
 
+def _hadamard_matrix(m):
+    """H^{(x)m}, normalised: entry (j, k) is (-1)^{popcount(j & k)} / 2^{m/2}."""
+    ks = np.arange(2**m)
+    return (1.0 - 2.0 * (np.bitwise_count(ks[:, None] & ks) & 1)) / 2.0 ** (m / 2)
+
+
+@lru_cache(maxsize=8)
+def _sweep_plan(n, p):
+    """The ansatz of ``p`` layers on ``n`` qubits as 2p + 1 commuting diagonal blocks.
+
+    Returns ``(blocks, ha, hb)``, all arrays read-only.  A block
+    ``(start, stop, s)`` is exp(-i sum_j zeta_j s_j) for the parameters
+    ``start:stop``; ``s`` holds, per basis index, the +-1 eigenvalues of
+    Z_q and of Z_q Z_{q+1} it needs, as a column slice of one array.  The
+    blocks alternate between the Hadamard frame, where X_q and X_q X_{q+1}
+    are diagonal (the first layer's XX, then each layer's X merged with the
+    next layer's XX), and the computational frame (each layer's Z).  ``ha`` and ``hb`` are
+    H^{(x)a} and H^{(x)b}, a = ceil(n/2), b = n - a: no 2^n x 2^n matrix
+    is held.
+    """
+    ks = np.arange(2**n)
+    z = 1.0 - 2.0 * (ks[:, None] >> np.arange(n) & 1)
+    signs = np.hstack([z, z[:, :-1] * z[:, 1:]])
+    d = 3 * n - 1
+    blocks = [(0, n - 1, signs[:, n:])]  # the first layer's XX
+    for layer in range(p):
+        start = layer * d + n - 1
+        blocks.append((start, start + n, signs[:, :n]))  # Z
+        if layer + 1 < p:
+            blocks.append((start + n, start + 3 * n - 1, signs))  # X, then the next XX
+        else:
+            blocks.append((start + n, start + 2 * n, signs[:, :n]))  # the last X
+    ha, hb = _hadamard_matrix((n + 1) // 2), _hadamard_matrix(n // 2)
+    for a in (signs, ha, hb):
+        a.setflags(write=False)
+    return tuple(blocks), ha, hb
+
+
+def _hadamard(psi, ha, hb):
+    """H^{(x)n} psi for states as columns, as H^{(x)a} (x) H^{(x)b} on the reshaped state.
+
+    The real and imaginary parts ride along as two real columns, so both
+    products are real GEMMs.
+    """
+    x = np.ascontiguousarray(psi).view(float).reshape(len(ha), -1)
+    y = (ha @ x).reshape(len(ha), len(hb), -1)
+    return (hb @ y).reshape(psi.shape[0], -1).view(complex)
+
+
 def _ansatz_states(param_rows, n, p, tangent=False):
-    """Batched ansatz evaluation, one sweep over the gates exp(-i t G), G^2 = I.
+    """Batched ansatz evaluation, one sweep over commuting diagonal blocks.
 
     Without ``tangent`` the rows of ``param_rows`` are parameter vectors and
     the states come back as rows, shape (B, 2^n), equal to
     :func:`build_ansatz` + ``apply_circuit`` row by row.  With ``tangent``,
     ``param_rows`` is one vector zeta of length d, and the d+1 rows returned
-    are psi and d psi / d zeta_j: row j+1 gets -i G_j right after gate j.
+    are psi and d psi / d zeta_j.  Each block (see :func:`_sweep_plan`) is
+    one phase multiply in its frame; its generators G_j commute with it, so
+    row j+1 is born as -i s_j * (the state after its block) and then rides
+    the rest of the sweep.
     """
+    blocks, ha, hb = _sweep_plan(n, p)
     rows = np.atleast_2d(np.asarray(param_rows, dtype=float))
-    cos, msin = np.cos(rows).T, -1j * np.sin(rows).T
-    ks = np.arange(2**n)
-    # one layer: XX on (q, q+1), Z_q, X_q, each as G psi = psi[perm] or sign * psi
-    layer = ([(ks ^ (3 << q), None) for q in range(n - 1)]
-             + [(None, (1.0 - 2.0 * (ks >> q & 1))[:, None]) for q in range(n)]
-             + [(ks ^ (1 << q), None) for q in range(n)])
-
-    def generator(states, perm, sign):
-        return states[perm] if sign is None else sign * states
-
-    # the sweep keeps the states as columns
-    psi = np.zeros((ks.size, len(layer) * p + 1 if tangent else len(rows)), dtype=complex)
-    psi[0] = 1.0
-    for j, (perm, sign) in enumerate(layer * p):
-        psi = cos[j] * psi + msin[j] * generator(psi, perm, sign)
+    # the sweep keeps the states as columns; H^n |0...0> is the uniform
+    # state, already in the Hadamard frame of the first block
+    psi = np.zeros((2**n, rows.shape[1] + 1 if tangent else len(rows)), dtype=complex)
+    psi[:, :1 if tangent else None] = 2.0 ** (-n / 2)
+    for i, (start, stop, signs) in enumerate(blocks):
+        live = start + 1 if tangent else psi.shape[1]
+        if i:
+            psi[:, :live] = _hadamard(psi[:, :live], ha, hb)
         if tangent:
-            psi[:, j + 1 : j + 2] = -1j * generator(psi[:, j + 1 : j + 2], perm, sign)
-    return psi.T
+            psi[:, :live] *= np.exp(-1j * (signs @ rows[0, start:stop]))[:, None]
+            psi[:, start + 1 : stop + 1] = -1j * signs * psi[:, :1]
+        else:
+            psi *= np.exp(-1j * (signs @ rows[:, start:stop].T))
+    return _hadamard(psi, ha, hb).T
 
 
 @dataclass
@@ -174,6 +229,14 @@ class EigenpairEstimate:
     state: np.ndarray = None
 
 
+class _Share(NamedTuple):
+    """One Pauli sum as rows of a compiled sum over more strings."""
+
+    rows: np.ndarray  # the rows of its strings, in the order of its own compiled form
+    coeffs: np.ndarray
+    is_identity: np.ndarray
+
+
 class VarianceCost:
     """The variance cost of one encoded operator H; build it once per operator.
 
@@ -191,9 +254,25 @@ class VarianceCost:
 
     @cached_property
     def _compiled(self):
-        """(H+H, H) as compiled sums; H+H is the product ``pauli_multiply(H+, H)``."""
+        """One compiled sum over the strings of H+H and H, and each sum's share of it.
+
+        H+H is the product ``pauli_multiply(H+, H)``.  The shares of H+H and
+        H list their strings in the order of each sum's own compiled form
+        (:func:`term_order`), so every string keeps its noise variate and
+        its place in the binomial draws.
+        """
         h = self._h_sum
-        return compiled(pauli_multiply(h.dagger(), h)), compiled(h)
+        sums = (pauli_multiply(h.dagger(), h), h)
+        union = compiled(PauliSum(self.n_qubits, {s: 1.0 for psum in sums for s, _ in psum.items()}))
+        row = {letters: i for i, letters in enumerate(union.order)}
+        identity = "I" * self.n_qubits
+        shares = []
+        for psum in sums:
+            order = term_order(psum)
+            shares.append(_Share(np.array([row[s] for s in order]),
+                                 np.array([psum.coefficient(s) for s in order]),
+                                 np.array([s == identity for s in order])))
+        return union, tuple(shares)
 
     def exact(self, states, energy):
         """|(M - E) psi|^2 for a batch of states (rows)."""
@@ -204,23 +283,26 @@ class VarianceCost:
     def brackets_sampled(self, states, shots, rng=None, frozen=None):
         """Shot-sampled (<H+H>, <H>) for a batch of states (rows).
 
-        With ``rng``, every Pauli string draws fresh independent binomial
-        shots, <H+H> first.  With ``frozen`` (the pair from
+        One pass computes the exact mean of every string of either sum; the
+        shot model (:func:`shot_estimate`) then samples each sum from its
+        own rows.  With ``rng``, every Pauli string draws fresh independent
+        binomial shots, <H+H> first.  With ``frozen`` (the pair from
         :meth:`frozen_noise`), the same noise realisation is reused for
         every evaluation, so one optimisation run stays on a single
         deterministic sampled surface while the run-to-run spread still
         carries the full shot noise.
         """
-        chdh, ch = self._compiled
-        cols = np.atleast_2d(np.asarray(states)).T
-        z_hdh, z_h = (None, None) if frozen is None else frozen
-        e1 = chdh.sampled(cols, shots, rng=rng, frozen=z_hdh)
-        t1 = ch.sampled(cols, shots, rng=rng, frozen=z_h)
+        union, shares = self._compiled
+        ms = union.term_expectations(np.atleast_2d(np.asarray(states)).T)
+        zs = (None, None) if frozen is None else frozen
+        e1, t1 = (shot_estimate(ms[share.rows], share.coeffs, share.is_identity, shots,
+                                rng=rng, frozen=z)
+                  for share, z in zip(shares, zs))
         return np.real(e1), t1
 
     def frozen_noise(self, rng):
         """One standard-normal variate per Pauli string of <H+H> and <H>."""
-        return tuple(rng.standard_normal(len(c.order)) for c in self._compiled)
+        return tuple(rng.standard_normal(len(share.rows)) for share in self._compiled[1])
 
     @staticmethod
     def combine(e1, t1, energy):
@@ -245,7 +327,7 @@ def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, r
 
 
 def _make_objective(vc, config, frozen):
-    """Shot-mode cost over the joint vector [zeta..., E_r, E_i] and its gradient.
+    """Shot-mode cost over the joint vector [zeta..., E_r, E_i] and its gradient, in one call.
 
     Both run on one frozen noise realisation (sample average approximation);
     the run-to-run spread is then read off the median/MAD aggregation over
@@ -253,26 +335,23 @@ def _make_objective(vc, config, frozen):
     """
     n, p, shots, step = vc.n_qubits, config.p, config.shots, config.fd_step_shot
 
-    def brackets(states):
-        return vc.brackets_sampled(states, shots, frozen=frozen)
-
-    def fun(x):
-        e1, t1 = brackets(_ansatz_states(x[:-2], n, p))
-        return float(VarianceCost.combine(e1[0], t1[0], complex(x[-2], x[-1])))
-
-    def grad(x):
+    def fun_and_grad(x):
         # central differences in zeta, on states exact from the tangent rows:
-        # G^2 = I gives psi(zeta +- h e_j) = cos h psi +- sin h d_j psi.  The
-        # cost is quadratic in E, with E-gradient 2(E - <H>) at psi, row 0.
+        # G^2 = I gives psi(zeta +- h e_j) = cos h psi +- sin h d_j psi.  Row 0
+        # of the batch is psi itself, which gives the cost.  The cost is
+        # quadratic in E, with E-gradient 2(E - <H>) at psi.
         t = _ansatz_states(x[:-2], n, p, tangent=True)
         centre, shift = np.cos(step) * t[:1], np.sin(step) * t[1:]
-        e1, t1 = brackets(np.vstack([t[:1], centre + shift, centre - shift]))
+        e1, t1 = vc.brackets_sampled(np.vstack([t[:1], centre + shift, centre - shift]), shots,
+                                     frozen=frozen)
         e = complex(x[-2], x[-1])
-        c_plus, c_minus = np.split(VarianceCost.combine(e1[1:], t1[1:], e), 2)
+        costs = VarianceCost.combine(e1, t1, e)
+        c_plus, c_minus = np.split(costs[1:], 2)
         g_e = 2.0 * (e - t1[0])
-        return np.concatenate([(c_plus - c_minus) / (2.0 * step), [g_e.real, g_e.imag]])
+        return float(costs[0]), np.concatenate([(c_plus - c_minus) / (2.0 * step),
+                                                [g_e.real, g_e.imag]])
 
-    return fun, grad
+    return fun_and_grad
 
 
 def _fit_least_squares(m, config, z0, e0, warmup, tol):
@@ -323,15 +402,18 @@ def _fit_least_squares(m, config, z0, e0, warmup, tol):
     return res.x, 2.0 * res.cost, evaluations + res.nfev
 
 
-def _fit_bfgs(fun, grad, config, z0, e0, warmup):
+def _fit_bfgs(fun_and_grad, config, z0, e0, warmup):
     """Shot mode: (x, sampled cost, BFGS iterations), any fixed-E warm-up first."""
     iterations = 0
     if warmup:
-        warm = minimize(lambda z: fun(np.concatenate([z, e0])), z0,
-                        jac=lambda z: grad(np.concatenate([z, e0]))[:-2], method="BFGS",
+        def warm_fun(z):
+            value, grad = fun_and_grad(np.concatenate([z, e0]))
+            return value, grad[:-2]
+
+        warm = minimize(warm_fun, z0, jac=True, method="BFGS",
                         options=dict(gtol=BFGS_WARMUP_GTOL, maxiter=config.warmup_maxiter))
         z0, iterations = warm.x, warm.nit
-    res = minimize(fun, np.concatenate([z0, e0]), jac=grad, method="BFGS",
+    res = minimize(fun_and_grad, np.concatenate([z0, e0]), jac=True, method="BFGS",
                    options=dict(gtol=BFGS_GTOL, maxiter=config.maxiter))
     return res.x, float(res.fun), iterations + res.nit
 
@@ -367,7 +449,7 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     rng = np.random.default_rng(seed)
     n = vc.n_qubits
     if config.shots is not None:
-        fun, grad = _make_objective(vc, config, vc.frozen_noise(rng))
+        fun_and_grad = _make_objective(vc, config, vc.frozen_noise(rng))
     if init_params is None:
         z0 = rng.uniform(-INIT_SCALE, INIT_SCALE, config.p * (3 * n - 1))
     elif init_params.n_qubits != n or init_params.p != config.p:
@@ -380,7 +462,7 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
         tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
         x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0, warmup, tol)
     else:
-        x, final_cost, iterations = _fit_bfgs(fun, grad, config, z0, e0, warmup)
+        x, final_cost, iterations = _fit_bfgs(fun_and_grad, config, z0, e0, warmup)
         tol = config.shot_tol_scale * vc.hs_norm2
     zeta, final_e = x[:-2], complex(x[-2], x[-1])
     state = _ansatz_states(zeta, n, config.p)[0]

@@ -27,7 +27,8 @@ from csres import (
     zero_state,
 )
 import csres.vqa
-from csres.vqa import VarianceCost, _ansatz_states, _make_objective
+from csres.vqa import VarianceCost, _ansatz_states, _make_objective, _sweep_plan
+from csres.simulator import term_order
 
 from oracles import dense_from_terms, kron_pauli
 
@@ -66,15 +67,26 @@ class TestBuildAnsatz:
         np.testing.assert_array_equal(params.to_vector(), back.to_vector())
 
     def test_batched_matches_circuit_path(self, rng):
-        n, p = 3, 2
-        rows = rng.uniform(-0.8, 0.8, size=(6, p * (3 * n - 1)))
-        batch = _ansatz_states(rows, n, p)
-        for row, fast in zip(rows, batch):
-            params = AnsatzParams.from_vector(row, n, p)
-            slow = apply_circuit(zero_state(n), build_ansatz(params, n))
-            np.testing.assert_allclose(fast, slow, atol=1e-12)
+        for n, p in ((1, 1), (3, 2), (5, 3)):
+            rows = rng.uniform(-0.8, 0.8, size=(6, p * (3 * n - 1)))
+            batch = _ansatz_states(rows, n, p)
+            for row, fast in zip(rows, batch):
+                params = AnsatzParams.from_vector(row, n, p)
+                slow = apply_circuit(zero_state(n), build_ansatz(params, n))
+                np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_sweep_plan_stays_small(self):
+        # the block sweep holds per-qubit signs and two half-register
+        # Hadamard factors, never a 2^n x 2^n matrix (128 MiB at 12 qubits)
+        blocks, ha, hb = _sweep_plan(12, 3)
+        signs = blocks[0][2].base
+        assert sum(a.nbytes for a in (signs, ha, hb)) < 2**20
+        for _, _, s in blocks:
+            assert np.shares_memory(s, signs)
+        for a in (signs, ha, hb):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 3)])
     def test_tangent_rows_match_central_differences(self, rng, n, p):
         d = p * (3 * n - 1)
         zeta = rng.uniform(-0.8, 0.8, d)
@@ -132,7 +144,7 @@ class TestGradient:
         config = VqaConfig(p=2, shots=1024, fd_step_shot=1e-6)
         vc = VarianceCost(h5_gray)
         zero = tuple(np.zeros_like(z) for z in vc.frozen_noise(rng))
-        fun, grad = _make_objective(vc, config, zero)
+        fun_and_grad = _make_objective(vc, config, zero)
         h_dense = dense_from_terms(h5_gray.items(), 3)
 
         def dense_fun(x):
@@ -140,7 +152,7 @@ class TestGradient:
             return dense_cost(h_dense, psi, x[-2] + 1j * x[-1])
 
         x = np.concatenate([rng.uniform(-0.5, 0.5, 2 * (3 * 3 - 1)), [0.4, -0.2]])
-        mine = grad(x)
+        mine = fun_and_grad(x)[1]
         step = 1e-7
         oracle = np.zeros_like(x)
         for i in range(x.size):
@@ -150,6 +162,19 @@ class TestGradient:
             oracle[i] = (dense_fun(xp) - dense_fun(xm)) / (2 * step)
         scale = np.abs(oracle).max()
         assert np.abs(mine - oracle).max() < 1e-4 * max(scale, 1.0)
+
+    def test_value_is_the_sampled_cost_at_psi(self, rng, h5_gray):
+        # the value returned with the gradient is the frozen-noise cost of psi
+        config = VqaConfig(p=2, shots=512)
+        vc = VarianceCost(h5_gray)
+        frozen = vc.frozen_noise(rng)
+        fun_and_grad = _make_objective(vc, config, frozen)
+        for _ in range(3):
+            x = np.concatenate([rng.uniform(-0.8, 0.8, 2 * (3 * 3 - 1)), rng.normal(size=2)])
+            psi = _ansatz_states(x[:-2], 3, 2)
+            e1, t1 = vc.brackets_sampled(psi, config.shots, frozen=frozen)
+            oracle = VarianceCost.combine(e1[0], t1[0], complex(x[-2], x[-1]))
+            assert abs(fun_and_grad(x)[0] - oracle) < 1e-12
 
     def test_cost_is_exact_paraboloid_in_energy(self, rng, h5_gray):
         # fit a quadratic in (E_r, E_i) through 6 samples, residual ~ 0
@@ -192,7 +217,7 @@ class TestBrackets:
 
         frozen = vc.frozen_noise(rng)
         got = vc.brackets_sampled(states, shots, frozen=frozen)
-        orders = (c.order for c in vc._compiled)
+        orders = map(term_order, (hdh, h5_gray))
         for psum, order, z, values in zip((hdh, h5_gray), orders, frozen, got):
             assert "III" in order
             for psi, value in zip(states, values):
@@ -349,9 +374,9 @@ class TestScanAggregate:
             monkeypatch.setattr(csres.vqa, name, counted)
         config = VqaConfig(p=1, shots=256, repetitions=3, maxiter=5, warmup_maxiter=5)
         scan_spectrum(h5_gray, config)
-        assert calls == {"pauli_multiply": 1, "compiled": 2}
+        assert calls == {"pauli_multiply": 1, "compiled": 1}  # one sum over H+H and H
         scan_spectrum(h5_gray, replace(config, shots=None))
-        assert calls == {"pauli_multiply": 1, "compiled": 2}  # exact mode builds neither
+        assert calls == {"pauli_multiply": 1, "compiled": 1}  # exact mode builds neither
 
     def test_aggregate_identical_values(self):
         med, mad = aggregate_runs([1.0 + 1.0j] * 5)
