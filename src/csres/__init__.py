@@ -57,11 +57,8 @@ from .simulator import (
     Circuit,
     Gate,
     apply_circuit,
-    apply_pauli_string,
     basis_state,
-    expectation_pauli,
     expectation_sum,
-    sample_counts,
     zero_state,
 )
 from .trajectory import (

@@ -117,6 +117,14 @@ def _number(config, path, kind, default=_REQUIRED, minimum=None):
     return number
 
 
+def _positive(config, path, default=_REQUIRED):
+    """The float at ``path`` (see :func:`_number`), which must be > 0."""
+    value = _number(config, path, float, default)
+    if not value > 0.0:
+        raise ConfigError(f"{path} must be > 0, got {value!r}")
+    return value
+
+
 def _basis_from(config) -> RadialBasisSpec:
     b = config.get("basis")
     if not b:
@@ -163,9 +171,8 @@ def _theta_grid(config):
         if not 0.0 <= value < 45.0:
             raise ConfigError("theta must lie inside [0, 45) degrees")
         return np.array([value])
-    start, stop, step = (_number(config, f"theta.{k}", float) for k in ("start", "stop", "step"))
-    if not step > 0.0:
-        raise ConfigError(f"theta.step must be > 0, got {step!r}")
+    start, stop = (_number(config, f"theta.{k}", float) for k in ("start", "stop"))
+    step = _positive(config, "theta.step")
     # size and range from np.arange's own length rule, before it allocates
     span = (stop - start) / step
     if not span <= MAX_THETA_POINTS:  # also an overflow to inf
@@ -202,7 +209,7 @@ def _vqa_from(config, seed_override=None, exact=False) -> VqaConfig:
         scan_step=_number(config, "scan.step", float, VqaConfig.scan_step),
         repetitions=_number(config, "scan.repetitions", int, VqaConfig.repetitions,
                             minimum=1),
-        cost_tol=_number(config, "cost_tol", float, VqaConfig.cost_tol),
+        cost_tol=_positive(config, "cost_tol", VqaConfig.cost_tol),
     )
 
 
@@ -220,7 +227,7 @@ def _neighborhood(config):
         raise ConfigError("config needs a 'neighborhood' section")
     center = complex(_number(config, "neighborhood.center_re", float, 0.0),
                      _number(config, "neighborhood.center_im", float, 0.0))
-    return center, _number(config, "neighborhood.radius", float, 0.5)
+    return center, _positive(config, "neighborhood.radius", 0.5)
 
 
 def _out_dir(config, args):
@@ -267,7 +274,7 @@ def cmd_spectrum_quantum(config, args):
     vqa = _vqa_from(config, args.seed, args.exact)
     _check_register(basis, vqa)
     n_runs = _number(config, "runs.n_runs", int, 1, minimum=1)
-    radius = _number(config, "aggregate_radius", float, 0.25)
+    radius = _positive(config, "aggregate_radius", 0.25)
     out = _out_dir(config, args)
     sh = build_scaled_matrix(basis, model, float(thetas[0]))
     vc = VarianceCost(encode_matrix(sh.matrix, vqa.encoding))  # one for every run
@@ -337,6 +344,12 @@ def cmd_filter(config, args):
             len(state) != 2**n_qubits for state in states):
         raise ConfigError(f"states file {args.states}: n_qubits must be a positive "
                           "integer and every state must hold 2^n_qubits amplitudes")
+    if encoding not in (None, GRAY, ONEHOT_JW):
+        raise ConfigError(f"states file {args.states}: unknown encoding {encoding!r}")
+    for i, state in enumerate(states):
+        if not 0.0 < np.sum(np.abs(state) ** 2) < math.inf:  # also a NaN amplitude
+            raise ConfigError(f"states file {args.states}: state {i} needs finite "
+                              "amplitudes that are not all zero")
     out = _out_dir(config, args)
     shots = _number(config, "shots", int, 8192, minimum=1)
     seed = _base_seed(config, args.seed)

@@ -78,28 +78,17 @@ class PauliSum:
     def to_matrix(self) -> np.ndarray:
         """Dense form ``sum c_P P``, read-only and the same array on every call."""
         if self._matrix is None:
-            dim = 2**self.n_qubits
-            out = np.zeros((dim, dim), dtype=complex)
+            ks = np.arange(2**self.n_qubits)
+            out = np.zeros((ks.size, ks.size), dtype=complex)
             for s, c in self._terms.items():
-                out += c * _string_matrix(s)
+                x, z, phase = string_masks(s)  # P[k ^ x, k] = phase (-1)^popcount(k & z)
+                out[ks ^ x, ks] += c * phase * parity_signs(ks, z)
             out.setflags(write=False)
             self._matrix = out
         return self._matrix
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
-
-
-def identity_sum(n_qubits) -> PauliSum:
-    return PauliSum(n_qubits, {"I" * n_qubits: 1.0})
-
-
-def _string_matrix(letters):
-    # letters[0] acts on qubit 0 = LSB, hence reversed kron order
-    out = np.array([[1.0 + 0j]])
-    for ch in letters:
-        out = np.kron(_PAULI_1Q[ch], out)
-    return out
 
 
 def string_masks(letters):
@@ -114,6 +103,11 @@ def string_masks(letters):
         if ch == "Y":
             n_y += 1
     return x, z, 1j**n_y
+
+
+def parity_signs(ks, z):
+    """(-1)^popcount(k & z) as floats, broadcast; in uint8, ``1 - 2 * count`` would wrap."""
+    return 1.0 - 2.0 * (np.bitwise_count(ks & z) & 1)
 
 
 def pauli_decompose(matrix) -> PauliSum:
@@ -133,10 +127,7 @@ def pauli_decompose(matrix) -> PauliSum:
             f"dimension {dim} is not a power of two; zero-pad the matrix first"
         )
     ks = np.arange(dim)
-    # Walsh matrix W[z, k] = (-1)^popcount(k & z)
-    walsh = np.empty((dim, dim))
-    for z in ks:
-        walsh[z] = 1 - 2 * (np.bitwise_count(ks & z).astype(np.int64) & 1)
+    walsh = parity_signs(ks, ks[:, None])  # W[z, k] = (-1)^popcount(k & z)
     terms = {}
     for x in ks:
         col = matrix[ks, ks ^ x]  # M[k, k^x]
@@ -256,5 +247,5 @@ def hermitianize(h_sum: PauliSum, energy: complex, side: str = "right") -> Pauli
     prod = pauli_multiply(first, second)
     # both variants share the linear part -E H+ - E* H
     linear = hd.scaled(-energy) + h_sum.scaled(-np.conj(energy))
-    const = identity_sum(h_sum.n_qubits).scaled(abs(energy) ** 2)
+    const = PauliSum(h_sum.n_qubits, {"I" * h_sum.n_qubits: abs(energy) ** 2})
     return prod + linear + const

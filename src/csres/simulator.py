@@ -1,8 +1,12 @@
-"""Exact statevector simulation of small gate circuits.
+"""Exact statevector simulation of small gate circuits, and Pauli-sum measurement.
 
 States are dense complex vectors of length 2^n with qubit 0 stored in the
-least significant bit of the index.  Bitstrings in measurement results are
-rendered most-significant-qubit first, i.e. ``format(index, "0nb")``.
+least significant bit of the index.
+
+Pauli sums are measured by one compiled pass (:func:`compiled`) over the
+strings of one or more sums, which act only through their masks; each sum
+reads its own rows from its share of the pass, and :func:`shot_estimate`
+turns those exact means into the shot model's estimate.
 
 Gate conventions: ``RX(t) = exp(-i t X / 2)``, ``RZ(t) = exp(-i t Z / 2)``,
 ``RXX(t) = exp(-i t X X)`` (no half angle), ``Phase(p) = diag(1, e^{ip})``.
@@ -11,10 +15,12 @@ Gate conventions: ``RX(t) = exp(-i t X / 2)``, ``RZ(t) = exp(-i t Z / 2)``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import PauliSum, string_masks
+from .encoding import PauliSum, parity_signs, string_masks
 
 
 @dataclass(frozen=True)
@@ -132,77 +138,57 @@ def apply_circuit(state, circuit: Circuit) -> np.ndarray:
     return psi
 
 
-def apply_pauli_string(state, letters) -> np.ndarray:
-    """Dense-free application of a unit-coefficient Pauli string."""
-    n = len(letters)
-    psi = np.asarray(state, dtype=complex)
-    if psi.size != 2**n:
-        raise ValueError("state size does not match letter string")
-    x, z, phase = string_masks(letters)
-    ks = np.arange(psi.size)
-    signs = 1 - 2 * (np.bitwise_count(ks & z).astype(np.int64) & 1)
-    out = np.empty_like(psi)
-    out[ks ^ x] = phase * signs * psi
-    return out
+class _Share(NamedTuple):
+    """One Pauli sum as rows of a compiled pass over more strings."""
 
-
-def expectation_pauli(state, letters) -> float:
-    """<psi|P|psi> for a single Pauli string; real for Hermitian P."""
-    val = np.vdot(state, apply_pauli_string(state, letters))
-    return float(val.real)
-
-
-def term_order(psum: PauliSum):
-    """The strings of ``psum`` grouped by X mask, ascending, in their own order
-    within a group: the order of a compiled sum's per-term values."""
-    return sorted((letters for letters, _ in psum.items()), key=lambda s: string_masks(s)[0])
+    rows: np.ndarray  # the rows of its strings, in pass order
+    coeffs: np.ndarray
+    is_identity: np.ndarray
 
 
 class _CompiledSum:
-    """Pauli sum grouped by X-mask, for repeated per-term or summed expectations."""
+    """The strings of one or more Pauli sums, grouped by X mask for one pass.
 
-    def __init__(self, psum: PauliSum):
-        self.n_qubits = psum.n_qubits
-        dim = 2**psum.n_qubits
-        ks = np.arange(dim)
-        groups = {}
-        for letters in term_order(psum):
-            x, z, phase = string_masks(letters)
-            groups.setdefault(x, []).append((letters, psum.coefficient(letters), z, phase))
+    Rows run by ascending X mask, then by letters.  ``shares[i]`` is sum
+    i's part of them: its rows in that order, its coefficients and which
+    of its strings is the identity.  A string common to several sums is
+    one row, measured once.
+    """
+
+    def __init__(self, *sums: PauliSum):
+        n = sums[0].n_qubits
+        masks = {s: string_masks(s) for psum in sums for s, _ in psum.items()}
+        self.order = sorted(masks, key=lambda s: (masks[s][0], s))
+        ks = np.arange(2**n)
         self.groups = []
-        self.order = []  # letter order matching concatenated per-term values
-        for x, entries in groups.items():
-            signs = np.array(
-                [1 - 2 * (np.bitwise_count(ks & z).astype(np.int64) & 1) for _, _, z, _ in entries],
-                dtype=float,
-            )
+        for x, letters in groupby(self.order, key=lambda s: masks[s][0]):
+            zs, phases = zip(*(masks[s][1:] for s in letters))
             # <psi|P|psi> = sum_k conj(psi_{k^x}) i^{nY} (-1)^{pc(k&z)} psi_k;
             # reindexing k -> k^x turns the phase into (-i)^{nY}
-            phases = np.array([np.conj(p) for _, _, _, p in entries])
-            coeffs = np.array([c for _, c, _, _ in entries])
-            self.groups.append((ks ^ x, signs, phases, coeffs))
-            self.order.extend(letters for letters, _, _, _ in entries)
-        self.coeffs = np.concatenate([g[3] for g in self.groups])
-        identity = "I" * psum.n_qubits
-        self.is_identity = np.array([letters == identity for letters in self.order])
+            self.groups.append((ks ^ x, parity_signs(ks, np.array(zs)[:, None]),
+                                np.array([np.conj(p) for p in phases])))
+        identity = "I" * n
+        self.shares = []
+        for psum in sums:
+            terms = dict(psum.items())
+            rows = [i for i, s in enumerate(self.order) if s in terms]
+            mine = [self.order[i] for i in rows]
+            self.shares.append(_Share(np.array(rows), np.array([terms[s] for s in mine]),
+                                      np.array([s == identity for s in mine])))
 
     def term_expectations(self, psi):
         """Per-term <P> values (order ``self.order``); psi may be (dim,) or (dim, B)."""
         conj = np.conj(psi)
         vals = []
-        for perm, signs, phases, _ in self.groups:
+        for perm, signs, phases in self.groups:
             u = conj * psi[perm]
             vals.append(phases[:, None] * (signs @ u) if u.ndim == 2 else phases * (signs @ u))
         return np.concatenate(vals, axis=0)
 
     def expectation(self, psi):
-        """<psi|A|psi>; supports a batch of states as columns."""
-        conj = np.conj(psi)
-        total = 0.0 + 0.0j
-        for perm, signs, phases, coeffs in self.groups:
-            vals = signs @ (conj * psi[perm])
-            total = total + (coeffs * phases) @ vals
-        return total
+        """<psi|A|psi> for the first sum of the pass; psi may be (dim,) or (dim, B)."""
+        rows, coeffs, _ = self.shares[0]
+        return coeffs @ self.term_expectations(psi)[rows]
 
 
 def shot_estimate(ms, coeffs, is_identity, shots, rng=None, frozen=None):
@@ -230,9 +216,9 @@ def shot_estimate(ms, coeffs, is_identity, shots, rng=None, frozen=None):
     return coeffs @ est
 
 
-def compiled(psum: PauliSum) -> _CompiledSum:
-    """Compile ``psum``; the caller keeps the result while it evaluates the sum."""
-    return _CompiledSum(psum)
+def compiled(*sums: PauliSum) -> _CompiledSum:
+    """One pass over the strings of ``sums``; the caller keeps it while it evaluates them."""
+    return _CompiledSum(*sums)
 
 
 def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> complex:
@@ -249,21 +235,6 @@ def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> c
         return complex(comp.expectation(psi))
     if rng is None:
         rng = np.random.default_rng(seed)
-    return complex(shot_estimate(comp.term_expectations(psi), comp.coeffs, comp.is_identity,
-                                 shots, rng=rng))
-
-
-def sample_counts(state, shots, seed=None, rng=None) -> dict:
-    """Multinomial bitstring counts from |amplitudes|^2 (keys MSB first)."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    psi = np.asarray(state, dtype=complex)
-    n = int(np.log2(psi.size))
-    probs = np.abs(psi) ** 2
-    probs = probs / probs.sum()
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    return {
-        format(k, f"0{n}b"): int(c) for k, c in enumerate(draws) if c > 0
-    }
+    _, coeffs, is_identity = comp.shares[0]
+    return complex(shot_estimate(comp.term_expectations(psi), coeffs, is_identity, shots,
+                                 rng=rng))

@@ -12,10 +12,10 @@ the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
 least squares; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
 nothing but H is used.  In shot mode BFGS runs on the sampled cost: each
-step is one evaluation, whose single pass over the strings of H+H and H
-gives the cost at psi and its central-difference gradient.  One
-:class:`VarianceCost` per operator
-holds M and, in shot mode only, H and H+H.  The ansatz is evaluated as a
+step is one evaluation, whose one compiled pass over the strings of H+H
+and H (``compiled(H+H, H)``, one share per sum) gives the cost at psi and
+its central-difference gradient.  One :class:`VarianceCost` per operator
+holds M and, in shot mode only, that pass.  The ansatz is evaluated as a
 sweep over commuting blocks, each diagonal in the computational or the
 Hadamard frame (:func:`_sweep_plan`), with the tangent states alongside.
 """
@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .encoding import PauliSum, encode_gray, encode_onehot_jw, pauli_multiply
-from .simulator import Circuit, compiled, shot_estimate, term_order
+from .encoding import PauliSum, encode_gray, encode_onehot_jw, parity_signs, pauli_multiply
+from .simulator import Circuit, compiled, shot_estimate
 
 ONEHOT_JW = "onehot_jw"
 GRAY = "gray"
@@ -119,7 +118,7 @@ def build_ansatz(params: AnsatzParams, n_qubits: int) -> Circuit:
 def _hadamard_matrix(m):
     """H^{(x)m}, normalised: entry (j, k) is (-1)^{popcount(j & k)} / 2^{m/2}."""
     ks = np.arange(2**m)
-    return (1.0 - 2.0 * (np.bitwise_count(ks[:, None] & ks) & 1)) / 2.0 ** (m / 2)
+    return parity_signs(ks[:, None], ks) / 2.0 ** (m / 2)
 
 
 @lru_cache(maxsize=8)
@@ -229,14 +228,6 @@ class EigenpairEstimate:
     state: np.ndarray = None
 
 
-class _Share(NamedTuple):
-    """One Pauli sum as rows of a compiled sum over more strings."""
-
-    rows: np.ndarray  # the rows of its strings, in the order of its own compiled form
-    coeffs: np.ndarray
-    is_identity: np.ndarray
-
-
 class VarianceCost:
     """The variance cost of one encoded operator H; build it once per operator.
 
@@ -254,25 +245,14 @@ class VarianceCost:
 
     @cached_property
     def _compiled(self):
-        """One compiled sum over the strings of H+H and H, and each sum's share of it.
+        """One compiled pass over the strings of H+H and H; share 0 is H+H, share 1 is H.
 
-        H+H is the product ``pauli_multiply(H+, H)``.  The shares of H+H and
-        H list their strings in the order of each sum's own compiled form
-        (:func:`term_order`), so every string keeps its noise variate and
+        H+H is the product ``pauli_multiply(H+, H)``.  Each share lists its
+        strings in pass order, so every string keeps its noise variate and
         its place in the binomial draws.
         """
         h = self._h_sum
-        sums = (pauli_multiply(h.dagger(), h), h)
-        union = compiled(PauliSum(self.n_qubits, {s: 1.0 for psum in sums for s, _ in psum.items()}))
-        row = {letters: i for i, letters in enumerate(union.order)}
-        identity = "I" * self.n_qubits
-        shares = []
-        for psum in sums:
-            order = term_order(psum)
-            shares.append(_Share(np.array([row[s] for s in order]),
-                                 np.array([psum.coefficient(s) for s in order]),
-                                 np.array([s == identity for s in order])))
-        return union, tuple(shares)
+        return compiled(pauli_multiply(h.dagger(), h), h)
 
     def exact(self, states, energy):
         """|(M - E) psi|^2 for a batch of states (rows)."""
@@ -292,17 +272,17 @@ class VarianceCost:
         deterministic sampled surface while the run-to-run spread still
         carries the full shot noise.
         """
-        union, shares = self._compiled
-        ms = union.term_expectations(np.atleast_2d(np.asarray(states)).T)
+        comp = self._compiled
+        ms = comp.term_expectations(np.atleast_2d(np.asarray(states)).T)
         zs = (None, None) if frozen is None else frozen
         e1, t1 = (shot_estimate(ms[share.rows], share.coeffs, share.is_identity, shots,
                                 rng=rng, frozen=z)
-                  for share, z in zip(shares, zs))
+                  for share, z in zip(comp.shares, zs))
         return np.real(e1), t1
 
     def frozen_noise(self, rng):
         """One standard-normal variate per Pauli string of <H+H> and <H>."""
-        return tuple(rng.standard_normal(len(share.rows)) for share in self._compiled[1])
+        return tuple(rng.standard_normal(len(share.rows)) for share in self._compiled.shares)
 
     @staticmethod
     def combine(e1, t1, energy):

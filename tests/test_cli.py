@@ -74,6 +74,11 @@ class TestConfigValidation:
         ("spectrum-classical", {"out_dir": 5}),
         ("spectrum-classical", {"model": {"kind": "alpha_alpha", "hbar2_over_2mu": float("nan")}}),
         ("spectrum-classical", {"model": {"kind": "alpha_alpha", "k": float("inf")}}),
+        ("trajectory", {"neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": -0.5}}),
+        ("trajectory", {"neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": 0}}),
+        ("spectrum-quantum", {"cost_tol": -1}),
+        ("trajectory", {"engine": "quantum", "cost_tol": 0.0}),
+        ("spectrum-quantum", {"aggregate_radius": -1}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
         doc = {
@@ -293,6 +298,12 @@ class TestFilterInputs:
     @pytest.mark.parametrize("content", [
         None, '{"states": []}', "not json",
         '{"n_qubits": 2, "states": [{"E_re": 0, "E_im": 0, "amplitudes": [[1, 0]]}]}',
+        '{"n_qubits": 1, "states": [{"E_re": 0, "E_im": 0, "amplitudes": [[0, 0], [0, 0]]}]}',
+        '{"n_qubits": 1, "states": [{"E_re": 0, "E_im": 0, "amplitudes": [[NaN, 0], [1, 0]]}]}',
+        '{"n_qubits": 1, '
+        '"states": [{"E_re": 0, "E_im": 0, "amplitudes": [[1, 0], [0, Infinity]]}]}',
+        '{"n_qubits": 1, "encoding": "bogus", '
+        '"states": [{"E_re": 0, "E_im": 0, "amplitudes": [[1, 0], [0, 0]]}]}',
     ])
     def test_bad_states_file_is_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "states.json"

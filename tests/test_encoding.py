@@ -12,6 +12,7 @@ from csres import (
     pauli_decompose,
     pauli_multiply,
 )
+from csres.encoding import parity_signs
 
 from oracles import dense_from_terms, kron_pauli, match_eigen_sets
 
@@ -148,10 +149,15 @@ class TestGray:
         assert not dense.flags.writeable
         assert ps.to_matrix() is dense
 
-    def test_terms_rebuild_the_dense_form(self, h5_matrix):
+    def test_terms_rebuild_the_dense_form(self, h5_matrix, rng):
         # the Pauli terms feed shot mode; they must encode the same matrix
         ps = encode_gray(h5_matrix)
         assert np.abs(dense_from_terms(ps.items(), 3) - ps.to_matrix()).max() < 1e-12
+        # a sum built from its terms adds them in the oracle's order: equal to the bit
+        with_y = random_pauli_sum(rng, 5, 40)
+        assert any("Y" in s for s, _ in with_y.items())
+        for ps in (encode_onehot_jw(h5_matrix), with_y):
+            assert np.array_equal(ps.to_matrix(), dense_from_terms(ps.items(), ps.n_qubits))
 
     def test_spectrum_preserved_exactly(self, rng):
         for dim in (3, 6, 7):
@@ -205,6 +211,12 @@ class TestPauliSumBasics:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PauliSum(3, {"XX": 1.0})
+
+    def test_parity_signs_are_the_diagonal_of_z_strings(self):
+        ks = np.arange(16)
+        for z in range(16):
+            letters = "".join("Z" if z >> q & 1 else "I" for q in range(4))
+            assert np.array_equal(parity_signs(ks, z), np.diag(kron_pauli(letters)).real)
 
     def test_dense_letter_convention(self):
         # letters[0] acts on qubit 0 = LSB of the index

@@ -6,13 +6,10 @@ from csres import (
     Circuit,
     PauliSum,
     apply_circuit,
-    apply_pauli_string,
-    basis_state,
-    expectation_pauli,
     expectation_sum,
-    sample_counts,
     zero_state,
 )
+from csres.simulator import compiled, shot_estimate
 
 from oracles import dense_from_terms, kron_pauli
 
@@ -141,25 +138,18 @@ class TestApplyCircuit:
 
 class TestExpectations:
     def test_all_z_on_vacuum(self):
-        assert expectation_pauli(zero_state(4), "ZZZZ") == pytest.approx(1.0)
+        assert expectation_sum(zero_state(4), PauliSum(4, {"ZZZZ": 1.0})) == pytest.approx(1.0)
 
     def test_x_on_plus(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert expectation_pauli(plus, "X") == pytest.approx(1.0)
+        assert expectation_sum(plus, PauliSum(1, {"X": 1.0})) == pytest.approx(1.0)
 
     def test_random_vs_dense(self, rng):
         psi = random_state(rng, 3)
         for letters in ("XYZ", "ZIX", "YYI"):
             dense = kron_pauli(letters)
-            assert expectation_pauli(psi, letters) == pytest.approx(
-                np.vdot(psi, dense @ psi).real, abs=1e-12
-            )
-
-    def test_apply_pauli_string_matches_dense(self, rng):
-        psi = random_state(rng, 3)
-        for letters in ("XIZ", "YZX", "IIy".upper()):
-            np.testing.assert_allclose(
-                apply_pauli_string(psi, letters), kron_pauli(letters) @ psi, atol=1e-13
+            assert expectation_sum(psi, PauliSum(3, {letters: 1.0})) == pytest.approx(
+                np.vdot(psi, dense @ psi), abs=1e-12
             )
 
     def test_identity_exact_in_both_modes(self, rng):
@@ -181,7 +171,7 @@ class TestExpectations:
         theta = 0.7
         psi = np.array([np.cos(theta / 2), np.sin(theta / 2)])
         psum = PauliSum(1, {"Z": 1.0})
-        exact = expectation_pauli(psi, "Z")
+        exact = np.cos(theta)  # <Z> = cos^2(theta/2) - sin^2(theta/2)
         shots = 512
         reps = 200
         rng = np.random.default_rng(11)
@@ -210,24 +200,32 @@ class TestExpectations:
         assert -0.65 < slope < -0.35
 
 
-class TestSampling:
-    def test_basis_state_deterministic(self):
-        counts = sample_counts(basis_state(3, 0b011), shots=100, seed=3)
-        assert counts == {"011": 100}
-
-    def test_uniform_two_qubits(self):
-        psi = np.full(4, 0.5)
-        counts = sample_counts(psi, shots=8192, seed=123)
-        assert sum(counts.values()) == 8192
-        for word in ("00", "01", "10", "11"):
-            assert abs(counts[word] - 2048) < 200
-
-    def test_seed_reproducibility(self, rng):
-        psi = random_state(rng, 3)
-        a = sample_counts(psi, shots=4096, seed=77)
-        b = sample_counts(psi, shots=4096, seed=77)
-        assert a == b
-
-    def test_rejects_nonpositive_shots(self):
-        with pytest.raises(ValueError):
-            sample_counts(zero_state(1), shots=0)
+class TestCompiledPass:
+    def test_shares_match_each_sum_compiled_alone(self, rng):
+        # overlapping sums: a string of both is one row of the shared pass.
+        # Each share lists the strings, coefficients and identity flags of
+        # the sum alone, in the same order; the means agree to rounding only,
+        # since BLAS may round a row of an X-mask group's product differently
+        # when the group holds other rows
+        a = PauliSum(4, {"XYZI": 0.3 - 0.2j, "XZZI": 1.1, "IXIY": -0.4 + 0.9j,
+                         "ZIZI": 0.7, "IIII": 0.25})
+        b = PauliSum(4, {"XYZI": -0.6, "XIZZ": 0.5j, "YIXI": 0.2, "IXIY": 1.3,
+                         "ZZZZ": -0.8, "IIII": 2.0})
+        states = np.stack([random_state(rng, 4) for _ in range(5)], axis=1)
+        both = compiled(a, b)
+        assert len(both.order) == len({s for psum in (a, b) for s, _ in psum.items()})
+        for i, psum in enumerate((a, b)):
+            alone = compiled(psum)
+            rows, coeffs, is_identity = both.shares[i]
+            assert [both.order[r] for r in rows] == alone.order
+            assert np.array_equal(coeffs, alone.shares[0].coeffs)
+            assert np.array_equal(is_identity, alone.shares[0].is_identity)
+            for psi in (states, states[:, 0]):
+                np.testing.assert_allclose(coeffs @ both.term_expectations(psi)[rows],
+                                           alone.expectation(psi), rtol=0, atol=1e-14)
+            z = rng.standard_normal(len(psum))
+            shared = shot_estimate(both.term_expectations(states)[rows], coeffs, is_identity,
+                                   64, frozen=z)
+            single = shot_estimate(alone.term_expectations(states), coeffs, is_identity,
+                                   64, frozen=z)
+            np.testing.assert_allclose(shared, single, rtol=0, atol=1e-14)
