@@ -72,9 +72,9 @@ def write_estimate_json(path, estimate, config, seed=None):
     return path
 
 
-def write_histogram_csv(path, counts, lo_center, width, config):
+def write_histogram_csv(path, counts, lo_center, width, config, seed=None):
     path = Path(path)
-    out = _header_lines(config)
+    out = _header_lines(config, seed)
     out.append("bin_center,count")
     counts = np.asarray(counts)
     for i, c in enumerate(counts):
@@ -113,6 +113,13 @@ def write_heatmap_csv(path, report, config, seed=None):
             f"{int(row.physical)}"
         )
     path.write_text("\n".join(out) + "\n")
+    return path
+
+
+def write_marker_csv(path, marker, config, seed=None):
+    """An artifact with no rows: the header, then ``marker`` as one JSON comment line."""
+    path = Path(path)
+    path.write_text("\n".join(_header_lines(config, seed) + ["# " + json.dumps(marker)]) + "\n")
     return path
 
 

@@ -198,6 +198,8 @@ def _vqa_from(config, seed_override=None, exact=False) -> VqaConfig:
     if encoding not in (GRAY, ONEHOT_JW):
         raise ConfigError(f"unknown encoding {encoding!r}")
     shots = _number(config, "shots", int, None, minimum=1)  # None: exact expectations
+    if shots is not None and not exact and config.get("cost_tol") is not None:
+        raise ConfigError("cost_tol applies to exact expectations only (no shots, or --exact)")
     return VqaConfig(
         encoding=encoding,
         p=_number(config, "ansatz.p", int, VqaConfig.p, minimum=1),
@@ -309,8 +311,8 @@ def cmd_trajectory(config, args):
     if engine == QUANTUM:
         vqa = _vqa_from(config, args.seed, args.exact)
         _check_register(basis, vqa)
-        if config.get("cost_tol") is None:
-            vqa.cost_tol_rel = 1e-5  # finite-depth ansatz floor, see README
+        if config.get("cost_tol") is None:  # finite-depth ansatz floor, see README
+            vqa = replace(vqa, cost_tol_rel=1e-5)
     out = _out_dir(config, args)
     traj = run_trajectory(
         basis, model, thetas, center, radius, engine=engine, vqa_config=vqa,
@@ -323,10 +325,10 @@ def cmd_trajectory(config, args):
     energies = traj.energies
     artifacts.write_histogram_csv(
         out / "histogram_re.csv", est.counts_re,
-        energies.real.min() + 0.5 * est.bin_width_re, est.bin_width_re, config)
+        energies.real.min() + 0.5 * est.bin_width_re, est.bin_width_re, config, seed)
     artifacts.write_histogram_csv(
         out / "histogram_im.csv", est.counts_im,
-        energies.imag.min() + 0.5 * est.bin_width_im, est.bin_width_im, config)
+        energies.imag.min() + 0.5 * est.bin_width_im, est.bin_width_im, config, seed)
     print(f"wrote {out / 'estimate.json'}: E = {est.energy.real:.4f} "
           f"{est.energy.imag:+.4f}i MeV from {est.n_points} points")
     return 0
@@ -355,10 +357,9 @@ def cmd_filter(config, args):
     seed = _base_seed(config, args.seed)
     if encoding == GRAY:
         # occupation numbers have no per-qubit meaning in the Gray register
-        marker = {"filtration": "not-applicable",
-                  "reason": "states are Gray-code encoded"}
-        (out / "heatmap.csv").write_text(
-            "# " + json.dumps(marker) + "\n", encoding="utf-8")
+        artifacts.write_marker_csv(out / "heatmap.csv", {
+            "filtration": "not-applicable", "reason": "states are Gray-code encoded"},
+            config, seed)
         print("filtration not applicable to Gray-code states")
         return 0
     report = filtration_report(

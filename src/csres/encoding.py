@@ -11,23 +11,7 @@ import numpy as np
 
 COEFF_CUTOFF = 1e-14
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# single-qubit products: (a, b) -> (phase, letter) with a*b = phase*letter
-_MUL_1Q = {}
-for _a in "IXYZ":
-    for _b in "IXYZ":
-        _m = _PAULI_1Q[_a] @ _PAULI_1Q[_b]
-        for _c in "IXYZ":
-            for _ph in (1, -1, 1j, -1j):
-                if np.allclose(_m, _ph * _PAULI_1Q[_c]):
-                    _MUL_1Q[(_a, _b)] = (_ph, _c)
-del _a, _b, _c, _m, _ph
+_I_POWERS = (1, 1j, -1, -1j)  # i^k, indexed by k mod 4
 
 
 class PauliSum:
@@ -150,21 +134,26 @@ def _letters_from_masks(x, z, n):
 
 
 def pauli_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Product of two sums, merging duplicates with phase tracking."""
+    """Product of two sums, merging duplicates, on the strings' (x, z) masks.
+
+    With P = i^{n_Y} X^x Z^z (see :func:`string_masks`), P_a P_b is i^k
+    times the string (x_a ^ x_b, z_a ^ z_b), with k = n_Y(a) + n_Y(b)
+    - n_Y(ab) + 2 popcount(z_a & x_b) and n_Y = popcount(x & z): the
+    binary form of Aaronson & Gottesman, PRA 70, 052328 (2004).
+    """
     if a.n_qubits != b.n_qubits:
         raise ValueError("register size mismatch")
+    b_masks = [(*string_masks(sb)[:2], cb) for sb, cb in b.items()]
     out = {}
     for sa, ca in a.items():
-        for sb, cb in b.items():
-            phase = 1.0 + 0j
-            letters = []
-            for la, lb in zip(sa, sb):
-                ph, lc = _MUL_1Q[(la, lb)]
-                phase *= ph
-                letters.append(lc)
-            key = "".join(letters)
-            out[key] = out.get(key, 0.0) + ca * cb * phase
-    return PauliSum(a.n_qubits, out)
+        xa, za, _ = string_masks(sa)
+        for xb, zb, cb in b_masks:
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+                 + 2 * (za & xb).bit_count())
+            out[x, z] = out.get((x, z), 0.0) + ca * cb * _I_POWERS[k % 4]
+    n = a.n_qubits
+    return PauliSum(n, {_letters_from_masks(x, z, n): c for (x, z), c in out.items()})
 
 
 def encode_onehot_jw(h) -> PauliSum:

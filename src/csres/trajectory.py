@@ -133,28 +133,22 @@ def run_trajectory(
             sh = build_scaled_matrix(basis, potential, th)
             vc = VarianceCost(encode_matrix(sh.matrix, vqa_config.encoding))
             seed0 = vqa_config.base_seed + 1000 * int(round(2 * th))
-            reason = "no attempt converged inside neighborhood"
-            accepted = None
+            runs = [(f"restart {k}", dict(seed=seed0 + k)) for k in range(attempts)]
             if last is not None:
-                est = minimize_variance(vc, vqa_config, init_energy=last.energy,
-                                        seed=seed0 + attempts, init_params=last.params)
+                runs.insert(0, ("warm start", dict(init_energy=last.energy, seed=seed0 + attempts,
+                                                   init_params=last.params)))
+            reason = "no attempt converged inside neighborhood"
+            for how, kwargs in runs:
+                est = minimize_variance(vc, vqa_config, **kwargs)
                 reason = _rejection(est, center, radius)
                 if reason is None:
-                    accepted, how = est, "warm start"
-                else:
+                    points.append(TrajectoryPoint(float(th), complex(est.energy), QUANTUM))
+                    log.append((float(th), True, f"accepted ({how})"))
+                    last = est
+                    break
+                if how == "warm start":
                     logger.info("theta=%g: warm start %s; %d seeded restarts follow",
                                 th, reason, attempts)
-            if accepted is None:
-                for attempt in range(attempts):
-                    est = minimize_variance(vc, vqa_config, seed=seed0 + attempt)
-                    reason = _rejection(est, center, radius)
-                    if reason is None:
-                        accepted, how = est, f"restart {attempt}"
-                        break
-            if accepted is not None:
-                points.append(TrajectoryPoint(float(th), complex(accepted.energy), QUANTUM))
-                log.append((float(th), True, f"accepted ({how})"))
-                last = accepted
             else:
                 log.append((float(th), False, reason))
     else:

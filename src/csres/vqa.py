@@ -67,23 +67,15 @@ class AnsatzParams:
 
     @classmethod
     def from_vector(cls, vec, n_qubits, p):
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)
         if vec.size != p * (3 * n_qubits - 1):
             raise ValueError("parameter vector length mismatch")
-        layers = []
-        i = 0
-        for _ in range(p):
-            beta = vec[i : i + n_qubits - 1]
-            i += n_qubits - 1
-            gamma = vec[i : i + n_qubits]
-            i += n_qubits
-            delta = vec[i : i + n_qubits]
-            i += n_qubits
-            layers.append((beta.copy(), gamma.copy(), delta.copy()))
-        return cls(n_qubits=n_qubits, layers=tuple(layers))
+        cuts = [n_qubits - 1, 2 * n_qubits - 1]
+        layers = tuple(tuple(np.split(row, cuts)) for row in vec.reshape(p, 3 * n_qubits - 1))
+        return cls(n_qubits=n_qubits, layers=layers)
 
     @classmethod
-    def random(cls, rng, n_qubits, p, scale=0.1):
+    def random(cls, rng, n_qubits, p, scale=INIT_SCALE):
         return cls.from_vector(
             rng.uniform(-scale, scale, p * (3 * n_qubits - 1)), n_qubits, p
         )
@@ -164,33 +156,29 @@ def _hadamard(psi, ha, hb):
     return (hb @ y).reshape(psi.shape[0], -1).view(complex)
 
 
-def _ansatz_states(param_rows, n, p, tangent=False):
-    """Batched ansatz evaluation, one sweep over commuting diagonal blocks.
+def _ansatz_states(zeta, n, p, tangent=False):
+    """The ansatz state of one parameter vector, one sweep over commuting diagonal blocks.
 
-    Without ``tangent`` the rows of ``param_rows`` are parameter vectors and
-    the states come back as rows, shape (B, 2^n), equal to
-    :func:`build_ansatz` + ``apply_circuit`` row by row.  With ``tangent``,
-    ``param_rows`` is one vector zeta of length d, and the d+1 rows returned
-    are psi and d psi / d zeta_j.  Each block (see :func:`_sweep_plan`) is
-    one phase multiply in its frame; its generators G_j commute with it, so
-    row j+1 is born as -i s_j * (the state after its block) and then rides
-    the rest of the sweep.
+    Returns psi as one row, shape (1, 2^n), equal to :func:`build_ansatz` +
+    ``apply_circuit``; with ``tangent``, the d + 1 rows psi and
+    d psi / d zeta_j.  Each block (see :func:`_sweep_plan`) is one phase
+    multiply in its frame; its generators G_j commute with it, so row j+1
+    is born as -i s_j * (the state after its block) and then rides the
+    rest of the sweep.
     """
     blocks, ha, hb = _sweep_plan(n, p)
-    rows = np.atleast_2d(np.asarray(param_rows, dtype=float))
+    zeta = np.asarray(zeta, dtype=float)
     # the sweep keeps the states as columns; H^n |0...0> is the uniform
     # state, already in the Hadamard frame of the first block
-    psi = np.zeros((2**n, rows.shape[1] + 1 if tangent else len(rows)), dtype=complex)
-    psi[:, :1 if tangent else None] = 2.0 ** (-n / 2)
+    psi = np.zeros((2**n, zeta.size + 1 if tangent else 1), dtype=complex)
+    psi[:, 0] = 2.0 ** (-n / 2)
     for i, (start, stop, signs) in enumerate(blocks):
-        live = start + 1 if tangent else psi.shape[1]
+        live = start + 1 if tangent else 1
         if i:
             psi[:, :live] = _hadamard(psi[:, :live], ha, hb)
+        psi[:, :live] *= np.exp(-1j * (signs @ zeta[start:stop]))[:, None]
         if tangent:
-            psi[:, :live] *= np.exp(-1j * (signs @ rows[0, start:stop]))[:, None]
             psi[:, start + 1 : stop + 1] = -1j * signs * psi[:, :1]
-        else:
-            psi *= np.exp(-1j * (signs @ rows[:, start:stop].T))
     return _hadamard(psi, ha, hb).T
 
 
@@ -232,9 +220,10 @@ class VarianceCost:
     """The variance cost of one encoded operator H; build it once per operator.
 
     Exact quantities come from the dense matrix M = ``h_sum.to_matrix()``
-    (for Gray code, the permuted and zero-padded H): the cost
-    ``|(M - E) psi|^2`` and ``hs_norm2 = |M|_F^2 / 2^n``.  H and H+H are
-    compiled on first shot-mode use.  States come as rows.
+    (for Gray code, the permuted and zero-padded H): the residual
+    ``(M - E) psi``, the cost ``|(M - E) psi|^2`` that is its squared norm,
+    and ``hs_norm2 = |M|_F^2 / 2^n``.  H and H+H are compiled on first
+    shot-mode use.  States come as rows.
     """
 
     def __init__(self, h_sum: PauliSum):
@@ -254,10 +243,13 @@ class VarianceCost:
         h = self._h_sum
         return compiled(pauli_multiply(h.dagger(), h), h)
 
+    def residual(self, states, energy):
+        """(M - E) psi for a batch of states (rows)."""
+        return states @ self.matrix.T - complex(energy) * states
+
     def exact(self, states, energy):
         """|(M - E) psi|^2 for a batch of states (rows)."""
-        psi = np.atleast_2d(states)
-        r = psi @ self.matrix.T - complex(energy) * psi
+        r = self.residual(np.atleast_2d(states), energy)
         return np.einsum("ij,ij->i", r.conj(), r).real
 
     def brackets_sampled(self, states, shots, rng=None, frozen=None):
@@ -334,7 +326,7 @@ def _make_objective(vc, config, frozen):
     return fun_and_grad
 
 
-def _fit_least_squares(m, config, z0, e0, warmup, tol):
+def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
     The residual is [Re; Im] of (M - E) psi, with Jacobian columns
@@ -347,16 +339,15 @@ def _fit_least_squares(m, config, z0, e0, warmup, tol):
     eigenvalue from stopping it.  Either stage also stops on scipy's own
     tolerances or its evaluation budget.
     """
-    n, p = m.shape[0].bit_length() - 1, config.p
+    n, p = vc.n_qubits, config.p
 
     def residual(x):
-        psi = _ansatz_states(x[:-2], n, p)[0]
-        r = m @ psi - complex(x[-2], x[-1]) * psi
+        r = vc.residual(_ansatz_states(x[:-2], n, p), complex(x[-2], x[-1]))[0]
         return np.concatenate([r.real, r.imag])
 
     def jacobian(x):
         t = _ansatz_states(x[:-2], n, p, tangent=True)
-        jac = np.vstack([t[1:] @ m.T - complex(x[-2], x[-1]) * t[1:], -t[0], -1j * t[0]]).T
+        jac = np.vstack([vc.residual(t[1:], complex(x[-2], x[-1])), -t[0], -1j * t[0]]).T
         return np.vstack([jac.real, jac.imag])
 
     last_e = None
@@ -430,17 +421,15 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     n = vc.n_qubits
     if config.shots is not None:
         fun_and_grad = _make_objective(vc, config, vc.frozen_noise(rng))
-    if init_params is None:
-        z0 = rng.uniform(-INIT_SCALE, INIT_SCALE, config.p * (3 * n - 1))
+    warmup = init_params is None
+    if warmup:
+        init_params = AnsatzParams.random(rng, n, config.p)
     elif init_params.n_qubits != n or init_params.p != config.p:
         raise ValueError("initial ansatz parameters do not match register size and depth")
-    else:
-        z0 = init_params.to_vector()
-    e0 = np.array([init_e.real, init_e.imag])
-    warmup = init_params is None
+    z0, e0 = init_params.to_vector(), np.array([init_e.real, init_e.imag])
     if config.shots is None:
         tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
-        x, final_cost, iterations = _fit_least_squares(vc.matrix, config, z0, e0, warmup, tol)
+        x, final_cost, iterations = _fit_least_squares(vc, config, z0, e0, warmup, tol)
     else:
         x, final_cost, iterations = _fit_bfgs(fun_and_grad, config, z0, e0, warmup)
         tol = config.shot_tol_scale * vc.hs_norm2

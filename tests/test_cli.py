@@ -79,6 +79,8 @@ class TestConfigValidation:
         ("spectrum-quantum", {"cost_tol": -1}),
         ("trajectory", {"engine": "quantum", "cost_tol": 0.0}),
         ("spectrum-quantum", {"aggregate_radius": -1}),
+        # shot mode judges convergence by shot_tol_scale, never by cost_tol
+        ("spectrum-quantum", {"shots": 1024, "cost_tol": 1e-3}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
         doc = {
@@ -190,6 +192,28 @@ class TestTrajectoryCommand:
         counts = sum(int(ln.split(",")[1]) for ln in hist[2:] if ln)
         assert counts == est["n_points"]
 
+    def test_quantum_histograms_carry_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"start": 10.0, "stop": 12.0, "step": 1.0},
+            "neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": 0.5},
+            "engine": "quantum",
+            "ansatz": {"p": 2},
+            "attempts": 2,
+            "runs": {"base_seed": 5},
+            "scan": {"e_start_re": 1.0, "e_start_im": 0.0},
+            "bins": 5,
+            "out_dir": str(out),
+        }
+        cfg = write_yaml(tmp_path / "q.yaml", doc)
+        assert main(["trajectory", "--config", cfg]) == 0
+        for name in ("trajectory.csv", "histogram_re.csv", "histogram_im.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0].startswith("# config: ")
+            assert lines[1] == "# seed: 5"
+
 
 class TestQuantumPipeline:
     def test_spectrum_quantum_then_filter(self, tmp_path, capsys):
@@ -268,8 +292,10 @@ class TestFilterGrayMarker:
         assert main(["spectrum-quantum", "--config", cfg, "--exact"]) == 0
         assert main(["filter", "--config", cfg,
                      "--states", str(out / "states.json")]) == 0
-        text = (out / "heatmap.csv").read_text()
-        assert "not-applicable" in text
+        lines = (out / "heatmap.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ")
+        assert lines[1] == "# seed: 3"
+        assert json.loads(lines[2][2:])["filtration"] == "not-applicable"
 
 
 class TestFilterInputs:

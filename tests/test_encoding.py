@@ -73,12 +73,15 @@ class TestMultiply:
             assert s1 == s2 and c1 == pytest.approx(c2)
 
     def test_against_dense_oracle(self, rng):
-        for _ in range(100):
-            a = random_pauli_sum(rng, 3, 4)
-            b = random_pauli_sum(rng, 3, 4)
+        pairs = [(random_pauli_sum(rng, 3, 4), random_pauli_sum(rng, 3, 4)) for _ in range(100)]
+        # a one-hot JW sum brings Y strings and Z chains (X Z..Z X, Y Z..Z Y)
+        h = random_complex_matrix(rng, 5)
+        onehot = encode_onehot_jw(h + h.T)
+        for a, b in pairs + [(onehot.dagger(), onehot)]:
+            n = a.n_qubits
             prod = pauli_multiply(a, b)
-            dense = dense_from_terms(a.items(), 3) @ dense_from_terms(b.items(), 3)
-            assert np.abs(dense_from_terms(prod.items(), 3) - dense).max() < 1e-12
+            dense = dense_from_terms(a.items(), n) @ dense_from_terms(b.items(), n)
+            assert np.abs(dense_from_terms(prod.items(), n) - dense).max() < 1e-12
 
     def test_register_mismatch(self):
         with pytest.raises(ValueError):

@@ -67,8 +67,8 @@ class TestBuildAnsatz:
     def test_batched_matches_circuit_path(self, rng):
         for n, p in ((1, 1), (3, 2), (5, 3)):
             rows = rng.uniform(-0.8, 0.8, size=(6, p * (3 * n - 1)))
-            batch = _ansatz_states(rows, n, p)
-            for row, fast in zip(rows, batch):
+            for row in rows:
+                fast = _ansatz_states(row, n, p)[0]
                 params = AnsatzParams.from_vector(row, n, p)
                 slow = apply_circuit(zero_state(n), build_ansatz(params, n))
                 np.testing.assert_allclose(fast, slow, atol=1e-12)
@@ -90,6 +90,8 @@ class TestBuildAnsatz:
         zeta = rng.uniform(-0.8, 0.8, d)
         rows = _ansatz_states(zeta, n, p, tangent=True)
         assert rows.shape == (d + 1, 2**n)
+        # row 0 of the tangent sweep is the plain sweep's psi, bit for bit
+        assert np.array_equal(rows[0], _ansatz_states(zeta, n, p)[0])
         slow = apply_circuit(zero_state(n), build_ansatz(AnsatzParams.from_vector(zeta, n, p), n))
         np.testing.assert_allclose(rows[0], slow, atol=1e-12)
         step = 1e-6
@@ -146,7 +148,7 @@ class TestGradient:
         h_dense = dense_from_terms(h5_gray.items(), 3)
 
         def dense_fun(x):
-            psi = _ansatz_states(x[None, :-2], 3, 2)[0]
+            psi = _ansatz_states(x[:-2], 3, 2)[0]
             return dense_cost(h_dense, psi, x[-2] + 1j * x[-1])
 
         x = np.concatenate([rng.uniform(-0.5, 0.5, 2 * (3 * 3 - 1)), [0.4, -0.2]])
@@ -204,7 +206,8 @@ class TestBrackets:
     def test_frozen_noise_matches_inline_shot_model(self, rng, h5_gray):
         shots = 256
         vc = VarianceCost(h5_gray)
-        states = _ansatz_states(rng.uniform(-0.8, 0.8, (3, 3 * (3 * 3 - 1))), 3, 3)
+        states = np.vstack([_ansatz_states(zeta, 3, 3)
+                            for zeta in rng.uniform(-0.8, 0.8, (3, 3 * (3 * 3 - 1)))])
         zero = tuple(np.zeros_like(z) for z in vc.frozen_noise(rng))
         e1, t1 = vc.brackets_sampled(states, shots, frozen=zero)
         hdh = pauli_multiply(h5_gray.dagger(), h5_gray)
