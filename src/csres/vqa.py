@@ -11,7 +11,10 @@ eigenvector; a run started from given parameters skips it.  In exact mode
 the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
 least squares; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
-nothing but H is used.  In shot mode BFGS runs on the sampled cost: each
+nothing but H is used.  Exact mode reports, and its settle rule reads, the
+c-product Rayleigh quotient ``E_c = psi^T M psi / psi^T psi`` of the state,
+whose error is quadratic in the state's; the cost it reports is the exact
+cost at the fitted E.  In shot mode BFGS runs on the sampled cost: each
 step is one evaluation, whose one compiled pass over the strings of H+H
 and H (``compiled(H+H, H)``, one share per sum) gives the cost at psi and
 its central-difference gradient.  One :class:`VarianceCost` per operator
@@ -43,6 +46,7 @@ BFGS_WARMUP_GTOL = 1e-6
 # has settled to this relative step between accepted iterations
 LSQ_WARMUP_FTOL = 1e-2
 LSQ_ENERGY_RTOL = 1e-7
+C_NORM_MIN = 1e-8  # below this |psi^T psi| / |psi|^2, E_c falls back to the fitted E
 
 
 def encode_matrix(h, scheme):
@@ -203,7 +207,12 @@ class VqaConfig:
 
 @dataclass
 class EigenpairEstimate:
-    """One converged (or not) variational eigenpair."""
+    """One converged (or not) variational eigenpair.
+
+    ``energy``: in exact mode E_c of ``state`` (:meth:`VarianceCost.c_energy`),
+    in shot mode the fitted E.  ``cost``: in exact mode the exact cost
+    ``|(M - E) psi|^2`` at the fitted E, in shot mode the sampled cost.
+    """
 
     energy: complex
     params: AnsatzParams
@@ -246,6 +255,21 @@ class VarianceCost:
     def residual(self, states, energy):
         """(M - E) psi for a batch of states (rows)."""
         return states @ self.matrix.T - complex(energy) * states
+
+    def c_energy(self, state, fallback):
+        """E_c = psi^T M psi / psi^T psi for one state: a transpose, not a conjugate transpose.
+
+        M is complex symmetric (the c-product of complex scaling), so this
+        quotient is stationary at an eigenvector and its error is quadratic
+        in the state's, where that of a fitted E or of <psi|M|psi> is linear
+        (Moiseyev, Phys. Rep. 302, 212 (1998)).  A state too near
+        self-orthogonal to divide by (|psi^T psi| below ``C_NORM_MIN``
+        |psi|^2) gets ``fallback``.
+        """
+        overlap = state @ state
+        if abs(overlap) <= C_NORM_MIN * np.vdot(state, state).real:
+            return complex(fallback)
+        return complex(state @ (self.matrix @ state) / overlap)
 
     def exact(self, states, energy):
         """|(M - E) psi|^2 for a batch of states (rows)."""
@@ -334,27 +358,33 @@ def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     residual by construction, so it stops at an ``ftol`` of
     ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit stops
     when the exact cost is already under the converged tolerance ``tol``
-    and E moved by less than ``LSQ_ENERGY_RTOL * max(1, |E|)`` since the
-    last accepted iteration; the cost guard keeps a stalled E far from an
-    eigenvalue from stopping it.  Either stage also stops on scipy's own
-    tolerances or its evaluation budget.
+    and the state's E_c (:meth:`VarianceCost.c_energy`) moved by less than
+    ``LSQ_ENERGY_RTOL * max(1, |E_c|)`` since the last accepted iteration;
+    the cost guard keeps a stalled state far from an eigenvector from
+    stopping it.  Either stage also stops on scipy's own tolerances or its
+    evaluation budget.
     """
     n, p = vc.n_qubits, config.p
+    psi = None  # row 0 of the last Jacobian's tangent sweep
 
     def residual(x):
         r = vc.residual(_ansatz_states(x[:-2], n, p), complex(x[-2], x[-1]))[0]
         return np.concatenate([r.real, r.imag])
 
     def jacobian(x):
+        nonlocal psi
         t = _ansatz_states(x[:-2], n, p, tangent=True)
+        psi = t[0]
         jac = np.vstack([vc.residual(t[1:], complex(x[-2], x[-1])), -t[0], -1j * t[0]]).T
         return np.vstack([jac.real, jac.imag])
 
     last_e = None
 
     def stop_when_settled(intermediate_result):
+        # trf evaluates the Jacobian at each accepted x just before this
+        # call, so psi is the state of intermediate_result.x
         nonlocal last_e
-        e = complex(*intermediate_result.x[-2:])
+        e = vc.c_energy(psi, complex(*intermediate_result.x[-2:]))
         settled = (last_e is not None and 2.0 * intermediate_result.cost < tol
                    and abs(e - last_e) < LSQ_ENERGY_RTOL * max(1.0, abs(e)))
         last_e = e
@@ -401,7 +431,8 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     ``iterations`` counting cost evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise
     realisation, with central-difference gradients.  Either run is judged
-    converged on the exact cost of its final state.
+    converged on the exact cost of its final state at the fitted E; exact
+    mode reports that state's E_c as the energy.
 
     The circuit parameters start from ``init_params`` when given (e.g. the
     solution at a neighbouring rotation angle), else from a uniform draw of
@@ -436,7 +467,7 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     zeta, final_e = x[:-2], complex(x[-2], x[-1])
     state = _ansatz_states(zeta, n, config.p)[0]
     return EigenpairEstimate(
-        energy=final_e,
+        energy=final_e if config.shots is not None else vc.c_energy(state, final_e),
         params=AnsatzParams.from_vector(zeta, n, config.p),
         cost=final_cost,
         converged=bool(vc.exact(state, final_e)[0] < tol),

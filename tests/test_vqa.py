@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -102,6 +103,14 @@ class TestBuildAnsatz:
                   - _ansatz_states(zeta - shift, n, p)[0]) / (2 * step)
             np.testing.assert_allclose(rows[j + 1], fd, atol=1e-8)
 
+    @pytest.mark.parametrize("n, p", [(3, 2), (5, 3)])
+    def test_conjugate_state_is_the_negated_parameters(self, rng, n, p):
+        # the generators XX, Z and X are real, so conj psi(zeta) = psi(-zeta):
+        # E_c = psi^T M psi is the transition amplitude <psi(-zeta)|M|psi(zeta)>
+        zeta = rng.uniform(-0.8, 0.8, p * (3 * n - 1))
+        np.testing.assert_allclose(_ansatz_states(zeta, n, p)[0].conj(),
+                                   _ansatz_states(-zeta, n, p)[0], atol=1e-14)
+
 
 class TestCost:
     def test_exact_eigenvector_zero_cost(self):
@@ -136,6 +145,68 @@ class TestCost:
         a = cost(params, 1.0 - 0.1j, h5_gray, shots=256, seed=5)
         b = cost(params, 1.0 - 0.1j, h5_gray, shots=256, seed=5)
         assert a == b
+
+
+class TestCEnergy:
+    """E_c = psi^T M psi / psi^T psi, the c-product Rayleigh quotient of exact mode."""
+
+    @pytest.mark.parametrize("encode", [encode_gray, encode_onehot_jw])
+    def test_exact_eigenvector_gives_its_eigenvalue(self, h5_matrix, encode):
+        vc = VarianceCost(encode(h5_matrix))
+        lam, vecs = np.linalg.eig(vc.matrix)
+        for k in range(len(lam)):
+            assert abs(vc.c_energy(vecs[:, k], np.nan) - lam[k]) < 1e-10
+
+    def test_error_quadratic_in_the_state_error(self, h5_gray, rng):
+        # on eigenvector + eps * noise, E_c is off by O(eps^2) (M is complex
+        # symmetric) and the Hermitian quotient <psi|M|psi> by O(eps)
+        vc = VarianceCost(h5_gray)
+        lam, vecs = np.linalg.eig(vc.matrix)
+        k = int(np.argmax(np.abs(lam)))
+        noise = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        eps = np.logspace(-2, -5, 7)
+        err_c, err_h = [], []
+        for e in eps:
+            psi = vecs[:, k] + e * noise / np.linalg.norm(noise)
+            err_c.append(abs(vc.c_energy(psi, np.nan) - lam[k]))
+            err_h.append(abs(np.vdot(psi, vc.matrix @ psi) / np.vdot(psi, psi) - lam[k]))
+        slope_c = np.polyfit(np.log(eps), np.log(err_c), 1)[0]
+        slope_h = np.polyfit(np.log(eps), np.log(err_h), 1)[0]
+        assert slope_c == pytest.approx(2.0, abs=0.05)
+        assert slope_h == pytest.approx(1.0, abs=0.05)
+
+    def test_self_orthogonal_state_falls_back(self):
+        vc = VarianceCost(pauli_decompose(np.array([[1.0, 0.5j], [0.5j, -1.0]])))
+        psi = np.array([1.0, 1j]) / np.sqrt(2)  # psi^T psi = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vc.c_energy(psi, 0.3 - 0.2j) == 0.3 - 0.2j
+
+    def test_settle_rule_reads_the_state_of_the_accepted_x(self, h5_gray, monkeypatch):
+        # the joint fit takes psi from the Jacobian's tangent sweep: scipy's
+        # trf must evaluate the Jacobian at every x it hands the callback
+        seen = []
+
+        def checked(fun, x0, jac, callback=None, **kwargs):
+            last = []
+
+            def jac_logged(x):
+                last[:] = [np.array(x)]
+                return jac(x)
+
+            def callback_checked(intermediate_result):
+                seen.append(np.array_equal(intermediate_result.x, last[0]))
+                return callback(intermediate_result)
+
+            return original(fun, x0, jac=jac_logged, callback=callback and callback_checked,
+                            **kwargs)
+
+        original = csres.vqa.least_squares
+        monkeypatch.setattr(csres.vqa, "least_squares", checked)
+        est = minimize_variance(h5_gray, VqaConfig(p=3), init_energy=1.0 - 0.1j, seed=3)
+        assert len(seen) > 5 and all(seen)
+        # the reported energy is E_c of the final state
+        assert est.energy == VarianceCost(h5_gray).c_energy(est.state, np.nan)
 
 
 class TestGradient:
