@@ -26,6 +26,7 @@ from .errors import NumericalError
 GAUSSIAN = "gaussian"
 HARMONIC_OSCILLATOR = "ho"
 COND_MAX = 1e14  # largest overlap condition number the Gram-Schmidt route accepts
+N_PER_PANEL = 48  # Gauss-Legendre nodes per panel of the base grid (node doubling takes 96)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def gram_schmidt_transform(spec: RadialBasisSpec) -> OrthoTransform:
     return OrthoTransform(c=c, overlap=s)
 
 
-def quadrature_grid(spec: RadialBasisSpec, n_per_panel: int = 48):
+def quadrature_grid(spec: RadialBasisSpec, n_per_panel: int = N_PER_PANEL):
     """Composite Gauss-Legendre grid resolving every basis length scale.
 
     Gaussian family: geometrically growing panels from the narrowest width
@@ -195,15 +196,7 @@ def quadrature_grid(spec: RadialBasisSpec, n_per_panel: int = 48):
     to the classical turning radius of the highest node plus a safety tail.
     Returns ``(r, w)`` nodes and weights.
     """
-    if spec.family == GAUSSIAN:
-        r_cut = 4.5 * spec.r_max
-        first = 0.5 * min(spec.r1, 1.0)
-        far_width = 2.0
-    else:
-        r_turn = spec.b * np.sqrt(4.0 * (spec.n - 1) + 2.0 * spec.l + 3.0)
-        r_cut = max(10.0 * spec.b, r_turn + 8.0 * spec.b)
-        first = spec.b
-        far_width = spec.b
+    first, far_width, r_cut = _panel_layout(spec)
     edges = [0.0, first]
     while edges[-1] < r_cut:
         step = min(edges[-1], far_width)
@@ -215,6 +208,31 @@ def quadrature_grid(spec: RadialBasisSpec, n_per_panel: int = 48):
         nodes.append(mid + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _panel_layout(spec):
+    # (first panel width, far panel width, cut-off radius) of quadrature_grid
+    if spec.family == GAUSSIAN:
+        return 0.5 * min(spec.r1, 1.0), 2.0, 4.5 * spec.r_max
+    r_turn = spec.b * np.sqrt(4.0 * (spec.n - 1) + 2.0 * spec.l + 3.0)
+    return spec.b, spec.b, max(10.0 * spec.b, r_turn + 8.0 * spec.b)
+
+
+def quadrature_size(spec: RadialBasisSpec, n_per_panel: int = N_PER_PANEL) -> float:
+    """Node count of :func:`quadrature_grid`, without building the grid.
+
+    The panels of constant width are counted in closed form, so this is
+    cheap however far the grid reaches (inf when the cut-off overflows);
+    the grid sums its edges one by one, so rounding can add one panel there.
+    """
+    first, far_width, r_cut = _panel_layout(spec)
+    if not first > 0.0:  # an r1 that halves to 0 gives a grid that never ends
+        return np.inf
+    panels, edge = 1, first
+    while edge < min(far_width, r_cut):
+        edge = min(2.0 * edge, r_cut)
+        panels += 1
+    return n_per_panel * (panels + max(0.0, float(np.ceil((r_cut - edge) / far_width))))
 
 
 def basis_matrix(spec: RadialBasisSpec, r) -> np.ndarray:

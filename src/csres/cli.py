@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import artifacts
-from .basis import RadialBasisSpec
+from .basis import N_PER_PANEL, RadialBasisSpec, quadrature_size
 from .encoding import gray_qubits
 from .errors import ConfigError, CsresError, NumericalError
 from .hamiltonian import (
@@ -63,6 +63,9 @@ _SCHEMA = {
 
 MAX_THETA_POINTS = 10_000  # a theta grid longer than this is a config error
 MAX_QUBITS = 12  # the dense encoded matrix of 12 qubits takes 256 MiB
+# basis.n times the nodes of the node-doubled quadrature grid; 3.5 M values
+# (Gaussian n = 16, r_max = 1000 fm) peaked at 183 MB in one assembly
+MAX_GRID_VALUES = 4_000_000
 
 
 def load_config(path) -> dict:
@@ -106,7 +109,7 @@ def _number(config, path, kind, default=_REQUIRED, minimum=None):
         kind is int and isinstance(value, float) and not value.is_integer())
     try:
         number = kind(value)
-        bad = bad or (kind is float and not math.isfinite(number))
+        bad = bad or not math.isfinite(number)  # an int past float range overflows
     except (TypeError, ValueError, OverflowError):
         bad = True
     if bad:
@@ -133,13 +136,20 @@ def _basis_from(config) -> RadialBasisSpec:
     n, l = _number(config, "basis.n", int), _number(config, "basis.l", int)
     try:
         if family == "gaussian":
-            return RadialBasisSpec.gaussian(n, l, _number(config, "basis.r1", float),
+            spec = RadialBasisSpec.gaussian(n, l, _number(config, "basis.r1", float),
                                             _number(config, "basis.r_max", float))
-        if family == "ho":
-            return RadialBasisSpec.ho(n, l, _number(config, "basis.b", float))
+        elif family == "ho":
+            spec = RadialBasisSpec.ho(n, l, _number(config, "basis.b", float))
+        else:
+            raise ConfigError(f"unknown basis family {family!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid basis section: {exc}") from exc
-    raise ConfigError(f"unknown basis family {family!r}")
+    # counted before any grid is built, like the theta grid and the register
+    size = spec.n * quadrature_size(spec, 2 * N_PER_PANEL)
+    if not size <= MAX_GRID_VALUES:
+        raise ConfigError(f"basis needs {size:.3g} basis values on its quadrature grid, "
+                          f"more than {MAX_GRID_VALUES}")
+    return spec
 
 
 def _model_from(config) -> PotentialModel:

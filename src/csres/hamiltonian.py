@@ -18,6 +18,7 @@ import scipy.linalg as sla
 from scipy.special import erf
 
 from .basis import (
+    N_PER_PANEL,
     OrthoTransform,
     RadialBasisSpec,
     basis_matrix,
@@ -82,16 +83,20 @@ def eval_potential(model: PotentialModel, z) -> np.ndarray:
     Gaussian factors no longer decay and the radial integrals diverge.
     """
     z = np.asarray(z, dtype=complex)
-    mag = np.abs(z)
     with np.errstate(invalid="ignore"):
-        ang = np.where(mag > 0.0, np.abs(np.angle(z)), 0.0)
+        ang = np.where(np.abs(z) > 0.0, np.abs(np.angle(z)), 0.0)
     if np.any(ang >= np.pi / 4.0):
         raise ValueError("potential argument angle must satisfy |theta| < 45 deg")
+    return _potential_values(model, z)
+
+
+def _potential_values(model, z):
+    # V at complex z whose angle the caller has already checked
     if model.kind == SCHEMATIC:
         return -8.0 * np.exp(-0.16 * z**2) + 4.0 * np.exp(-0.04 * z**2)
     nuclear = model.v0 * np.exp(-model.k * z**2)
     zz_e2 = model.z1 * model.z2 * model.e2
-    small = mag < 1e-12
+    small = np.abs(z) < 1e-12
     safe = np.where(small, 1.0, z)
     coulomb = np.where(
         small,
@@ -163,20 +168,22 @@ def _scaled_at_nodes(spec, model, theta_deg, n_per_panel):
     # imaginary parts each take one real GEMM
     quad = _quadrature(spec, n_per_panel)
     theta = np.radians(theta_deg)
-    wv = quad.r2w * eval_potential(model, quad.r * np.exp(1j * theta))
+    # theta is checked by build_raw_matrices; recomputing the angle of
+    # r e^(i theta) could round a theta just below 45 degrees up to it
+    wv = quad.r2w * _potential_values(model, quad.r * np.exp(1j * theta))
     phi = quad.phi
     v_re, v_im = ((phi.T * part) @ phi for part in (wv.real, wv.imag))
     return np.exp(-2j * theta) * model.hbar2_over_2mu * quad.t_mat + (v_re + 1j * v_im)
 
 
 def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
-                       n_per_panel: int = 48):
+                       n_per_panel: int = N_PER_PANEL):
     """Raw-basis scaled Hamiltonian and overlap, ``(H(theta), S)``.
 
     ``H_ij = e^(-2 i theta) * prefactor * T_ij + int phi_i V(r e^(i theta))
     phi_j r^2 dr`` with the quadrature convergence verified by node
     doubling (relative change above 1e-8 raises :class:`NumericalError`
-    naming the worst matrix element).
+    naming theta and the worst matrix element).
 
     Computed once per basis and grid, and reused while the basis stays the
     same: the nodes, the weights, the basis functions on the nodes and T,
@@ -193,14 +200,14 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     if delta.max() > 1e-8 * scale:
         i, j = np.unravel_index(np.argmax(delta), delta.shape)
         raise NumericalError(
-            f"quadrature not converged for matrix element ({i},{j}): "
-            f"relative change {delta[i, j] / scale:.2e} on node doubling"
+            f"quadrature not converged at theta={float(theta_deg)!r} deg for matrix element "
+            f"({i},{j}): relative change {delta[i, j] / scale:.2e} on node doubling"
         )
     return h2, overlap_matrix(spec)
 
 
 def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
-                        n_per_panel: int = 48) -> ScaledHamiltonian:
+                        n_per_panel: int = N_PER_PANEL) -> ScaledHamiltonian:
     """Scaled Hamiltonian transformed to the Gram-Schmidt orthonormal basis.
 
     This is the matrix handed to the qubit encodings.  The transform matrix

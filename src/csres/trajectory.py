@@ -13,6 +13,7 @@ moves slowly in one component only.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -84,7 +85,10 @@ def run_trajectory(
 
     Classical engine: solve the generalised eigenproblem at each theta
     (eigenvalues only) and continue from the eigenvalue nearest the
-    previously accepted point (first point: nearest the center).
+    previously accepted point (first point: nearest the center).  The
+    spectra of the last (basis, potential, theta grid) are kept, read-only,
+    and shared: another trajectory on the same grid (say, another
+    ``center``) assembles and diagonalises nothing.
 
     Quantum engine: continue from the last accepted eigenpair.  The
     variational solver starts from its circuit parameters and energy, so
@@ -112,9 +116,8 @@ def run_trajectory(
     points, log = [], []
     if engine == CLASSICAL:
         prev = center
-        for th in thetas:
-            h_raw, s = build_raw_matrices(basis, potential, th)
-            energies = solve_energies(h_raw, overlap=s)
+        spectra = _classical_spectra(basis, potential, tuple(thetas.tolist()))
+        for th, energies in zip(thetas, spectra):
             pick = energies[np.argmin(np.abs(energies - prev))]
             if abs(pick - center) <= radius:
                 points.append(TrajectoryPoint(float(th), complex(pick), CLASSICAL))
@@ -157,6 +160,18 @@ def run_trajectory(
         detail = "; ".join(f"theta={t:g}: {r}" for t, ok, r in log if not ok)
         raise NumericalError(f"empty trajectory, no theta accepted ({detail})")
     return ThetaTrajectory(points=points, log=log)
+
+
+@functools.lru_cache(maxsize=1)
+def _classical_spectra(basis, potential, thetas):
+    """Eigenvalues at each theta of the tuple ``thetas``, sorted by real part; read-only."""
+    spectra = []
+    for th in thetas:
+        h_raw, s = build_raw_matrices(basis, potential, th)
+        energies = solve_energies(h_raw, overlap=s)
+        energies.setflags(write=False)
+        spectra.append(energies)
+    return tuple(spectra)
 
 
 def _rejection(est, center, radius):

@@ -13,7 +13,7 @@ from csres import (
     overlap_matrix,
     quadrature_grid,
 )
-from csres.basis import basis_matrix, laguerre_upward
+from csres.basis import basis_matrix, laguerre_upward, quadrature_size
 
 from oracles import radial_norm_quad, radial_overlap_quad
 
@@ -166,3 +166,19 @@ def test_every_function_normalized_on_grid():
         phis = basis_matrix(spec, r)
         norms = np.einsum("km,m->k", phis**2, w * r**2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    RadialBasisSpec.gaussian(16, 1, 1.0, 15.0),
+    RadialBasisSpec.gaussian(10, 0, 0.2, 9.0),
+    RadialBasisSpec.ho(32, 2, 1.36),
+])
+def test_quadrature_size_counts_grid(spec):
+    for n_per_panel in (48, 96):
+        assert quadrature_size(spec, n_per_panel) == len(quadrature_grid(spec, n_per_panel)[0])
+
+
+@pytest.mark.parametrize("r1, r_max", [(1.0, 1e308), (5e-324, 3.0)])
+def test_quadrature_size_of_endless_grid_is_inf(r1, r_max):
+    # 4.5 r_max overflows; half the smallest subnormal r1 is a first panel of width 0
+    assert quadrature_size(RadialBasisSpec.gaussian(4, 1, r1, r_max)) == np.inf

@@ -102,6 +102,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, override, message", [
         ("spectrum-classical", {"theta": {"start": 1.0, "stop": 1e9, "step": 1e-9}}, "points"),
         ("spectrum-quantum", {"basis": {"family": "ho", "n": 40, "l": 0, "b": 1.36}}, "qubits"),
+        # 2e11 panels out to 4.5 r_max: counted, never built
+        ("spectrum-classical",
+         {"basis": {"family": "gaussian", "n": 16, "l": 1, "r1": 1.0, "r_max": 1e9}},
+         "quadrature"),
     ])
     def test_oversized_request_is_config_error(self, tmp_path, capsys, command, override,
                                                message):
@@ -117,6 +121,21 @@ class TestConfigValidation:
         assert main([command, "--config", cfg]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and message in err["message"]
+
+    def test_theta_just_below_45_runs(self, tmp_path, capsys):
+        # the largest double below 45 passes the range check; the rotated
+        # nodes' angle rounds to 45 degrees, which the assembly never re-checks
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"value": 44.99999999999999},
+            "out_dir": str(tmp_path / "out"),
+        }
+        cfg = write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["spectrum-classical", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "wrote" in captured.out
+        assert (tmp_path / "out" / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("via", ["out_dir", "--out"])
     def test_out_path_that_is_a_file_is_config_error(self, tmp_path, capsys, via):

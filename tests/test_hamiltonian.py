@@ -85,7 +85,7 @@ class TestBuildScaledMatrix:
                                        atol=1e-10 * np.abs(t_closed).max(), err_msg=str(spec))
 
     def test_quadrature_convergence_guard(self, small_gauss_basis, schematic):
-        with pytest.raises(NumericalError, match="matrix element"):
+        with pytest.raises(NumericalError, match=r"at theta=40\.0 deg for matrix element"):
             build_raw_matrices(small_gauss_basis, schematic, 40.0, n_per_panel=3)
 
     def test_redundant_bound_states(self, alpha_alpha):

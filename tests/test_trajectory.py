@@ -16,6 +16,7 @@ from csres import (
     run_trajectory,
     trajectory_speed,
 )
+from csres.hamiltonian import build_raw_matrices, solve_energies
 
 
 def synthetic_trajectory(energies, thetas=None):
@@ -152,6 +153,78 @@ class TestRunTrajectory:
             errs.append((abs(est.energy - exact), max(est.bin_width_re, est.bin_width_im)))
         for (e_small, bw), (e_big, _) in zip(errs[1:], errs[:-1]):
             assert e_small <= e_big + bw
+
+
+# narrow and broad schematic states: two trajectories of one spectrum
+SHARED_BASIS = RadialBasisSpec.gaussian(8, 1, 1.0, 7.0)
+SHARED_THETAS = np.arange(2.0, 30.0, 1.0)
+
+
+@pytest.fixture()
+def assemblies(monkeypatch):
+    """Counts calls of csres.trajectory.build_raw_matrices, starting from no kept spectra."""
+    csres.trajectory._classical_spectra.cache_clear()
+    calls = []
+    real = csres.trajectory.build_raw_matrices
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csres.trajectory, "build_raw_matrices", counting)
+    yield calls
+    csres.trajectory._classical_spectra.cache_clear()
+
+
+class TestSharedClassicalSpectra:
+    def test_second_trajectory_on_grid_assembles_nothing(self, schematic, assemblies):
+        narrow = run_trajectory(SHARED_BASIS, schematic, SHARED_THETAS, 1.17 - 0.0j, 0.5)
+        assert len(assemblies) == len(SHARED_THETAS)
+        broad = run_trajectory(SHARED_BASIS, schematic, SHARED_THETAS, 2.0 - 0.5j, 0.5)
+        assert len(assemblies) == len(SHARED_THETAS)
+        # the same numbers, bit for bit, as solving each theta directly
+        spectra = [solve_energies(*build_raw_matrices(SHARED_BASIS, schematic, th))
+                   for th in SHARED_THETAS]
+        for traj, center in ((narrow, 1.17 - 0.0j), (broad, 2.0 - 0.5j)):
+            prev, picks = center, []
+            for th, energies in zip(SHARED_THETAS, spectra):
+                pick = energies[np.argmin(np.abs(energies - prev))]
+                if abs(pick - center) <= 0.5:
+                    picks.append((th, pick))
+                    prev = pick
+            assert traj.thetas.tolist() == [th for th, _ in picks]
+            np.testing.assert_array_equal(traj.energies.view(np.uint64),
+                                          np.array([e for _, e in picks]).view(np.uint64))
+
+    def test_other_basis_potential_or_grid_recomputes(self, schematic, alpha_alpha,
+                                                      assemblies):
+        other_basis = RadialBasisSpec.gaussian(7, 1, 1.0, 7.0)
+        runs = [(SHARED_BASIS, schematic, SHARED_THETAS),
+                (other_basis, schematic, SHARED_THETAS),
+                (other_basis, alpha_alpha, SHARED_THETAS),
+                (other_basis, alpha_alpha, SHARED_THETAS[1:]),
+                (SHARED_BASIS, schematic, SHARED_THETAS)]  # only the last grid is kept
+        for basis, model, thetas in runs:
+            before = len(assemblies)
+            run_trajectory(basis, model, thetas, 0.0, 1e3)
+            assert len(assemblies) - before == len(thetas)
+            assert all(args[:2] == (basis, model) for args in assemblies[before:])
+
+    def test_failing_theta_fails_again(self, schematic, assemblies):
+        thetas = [44.5, 45.0]  # 45 degrees is outside the assembly's range
+        for _ in range(2):
+            before = len(assemblies)
+            with pytest.raises(ValueError, match="45"):
+                run_trajectory(SHARED_BASIS, schematic, thetas, 1.17 - 0.0j, 0.5)
+            assert len(assemblies) - before == 2
+
+    def test_kept_spectra_are_read_only(self, schematic, assemblies):
+        spectra = csres.trajectory._classical_spectra(SHARED_BASIS, schematic, (2.0, 3.0))
+        assert len(spectra) == 2
+        for energies in spectra:
+            assert not energies.flags.writeable
+            with pytest.raises(ValueError):
+                energies[0] = 0.0
 
 
 # two-qubit quantum trajectory of the narrow schematic state
