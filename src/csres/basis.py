@@ -27,6 +27,9 @@ GAUSSIAN = "gaussian"
 HARMONIC_OSCILLATOR = "ho"
 COND_MAX = 1e14  # largest overlap condition number the Gram-Schmidt route accepts
 N_PER_PANEL = 48  # Gauss-Legendre nodes per panel of the base grid (node doubling takes 96)
+# an edge this close to the cut-off (relative) ends the grid: summed edges
+# round, and a whole number of panels must not leave a sliver panel behind
+EDGE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def quadrature_grid(spec: RadialBasisSpec, n_per_panel: int = N_PER_PANEL):
     """
     first, far_width, r_cut = _panel_layout(spec)
     edges = [0.0, first]
-    while edges[-1] < r_cut:
+    while edges[-1] < r_cut * (1.0 - EDGE_SLACK):
         step = min(edges[-1], far_width)
         edges.append(min(edges[-1] + max(step, first), r_cut))
     x, w = roots_legendre(n_per_panel)
@@ -222,8 +225,9 @@ def quadrature_size(spec: RadialBasisSpec, n_per_panel: int = N_PER_PANEL) -> fl
     """Node count of :func:`quadrature_grid`, without building the grid.
 
     The panels of constant width are counted in closed form, so this is
-    cheap however far the grid reaches (inf when the cut-off overflows);
-    the grid sums its edges one by one, so rounding can add one panel there.
+    cheap however far the grid reaches (inf when the cut-off overflows).
+    Both end the grid ``EDGE_SLACK * r_cut`` short of the cut-off, so the
+    rounding of the grid's summed edges leaves no sliver panel.
     """
     first, far_width, r_cut = _panel_layout(spec)
     if not first > 0.0:  # an r1 that halves to 0 gives a grid that never ends
@@ -232,7 +236,8 @@ def quadrature_size(spec: RadialBasisSpec, n_per_panel: int = N_PER_PANEL) -> fl
     while edge < min(far_width, r_cut):
         edge = min(2.0 * edge, r_cut)
         panels += 1
-    return n_per_panel * (panels + max(0.0, float(np.ceil((r_cut - edge) / far_width))))
+    rest = (r_cut * (1.0 - EDGE_SLACK) - edge) / far_width
+    return n_per_panel * (panels + max(0.0, float(np.ceil(rest))))
 
 
 def basis_matrix(spec: RadialBasisSpec, r) -> np.ndarray:

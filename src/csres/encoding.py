@@ -7,6 +7,8 @@ dense form of a string is ``kron(P[n-1], ..., P[1], P[0])``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 COEFF_CUTOFF = 1e-14
@@ -20,6 +22,8 @@ class PauliSum:
     Terms are kept merged (no duplicate letter strings) and coefficients
     below ``COEFF_CUTOFF`` are dropped.  Instances are immutable by
     convention; algebra returns new sums.  The dense form is built once.
+    A sum made by :func:`pauli_decompose` holds its matrix and expands its
+    strings on first use.
     """
 
     def __init__(self, n_qubits, terms):
@@ -35,6 +39,11 @@ class PauliSum:
             s: c for s, c in sorted(merged.items()) if abs(c) > COEFF_CUTOFF
         }
         self._matrix = None
+
+    @cached_property
+    def _terms(self):
+        # only a sum from pauli_decompose gets here: __init__ sets _terms
+        return PauliSum(self.n_qubits, _pauli_terms(self._matrix, self.n_qubits))._terms
 
     def items(self):
         return list(self._terms.items())
@@ -98,8 +107,9 @@ def pauli_decompose(matrix) -> PauliSum:
     """Expand a square matrix in the Pauli basis, ``c_P = Tr(P M) / 2^n``.
 
     The reconstruction ``sum c_P P`` is exact; the sum keeps a read-only
-    copy of ``matrix`` as its ``to_matrix()``.  Dimension must be a power
-    of two (zero-pad first otherwise).
+    copy of ``matrix`` as its ``to_matrix()`` and expands the strings only
+    when they are first read.  Dimension must be a power of two (zero-pad
+    first otherwise).
     """
     matrix = np.asarray(matrix, dtype=complex)
     dim = matrix.shape[0]
@@ -110,6 +120,15 @@ def pauli_decompose(matrix) -> PauliSum:
         raise ValueError(
             f"dimension {dim} is not a power of two; zero-pad the matrix first"
         )
+    out = PauliSum.__new__(PauliSum)
+    out.n_qubits, out._matrix = n, matrix.copy()
+    out._matrix.setflags(write=False)
+    return out
+
+
+def _pauli_terms(matrix, n):
+    # {letters: c_P} of pauli_decompose, c_P = Tr(P M) / 2^n
+    dim = 2**n
     ks = np.arange(dim)
     walsh = parity_signs(ks, ks[:, None])  # W[z, k] = (-1)^popcount(k & z)
     terms = {}
@@ -123,10 +142,7 @@ def pauli_decompose(matrix) -> PauliSum:
             # with P = i^{n_y} X^x Z^z, Tr(P M)/2^n = i^{n_y} * coeffs[z]
             n_y = (int(x) & int(z)).bit_count()
             terms[_letters_from_masks(int(x), int(z), n)] = (1j**n_y) * c
-    out = PauliSum(n, terms)
-    out._matrix = matrix.copy()
-    out._matrix.setflags(write=False)
-    return out
+    return terms
 
 
 def _letters_from_masks(x, z, n):

@@ -9,7 +9,9 @@ drawn at random first takes a short warm-up with the energy frozen at its
 initial guess, which steers the state into the basin of the targeted
 eigenvector; a run started from given parameters skips it.  In exact mode
 the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
-least squares; its ``J^T r`` and
+least squares in a trust region scaled by the Jacobian's column norms
+(Moré 1978), with one tangent sweep per evaluated point shared by the
+residual and the Jacobian; its ``J^T r`` and
 ``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
 nothing but H is used.  Exact mode reports, and its settle rule reads, the
 c-product Rayleigh quotient ``E_c = psi^T M psi / psi^T psi`` of the state,
@@ -47,6 +49,8 @@ BFGS_WARMUP_GTOL = 1e-6
 LSQ_WARMUP_FTOL = 1e-2
 LSQ_ENERGY_RTOL = 1e-7
 C_NORM_MIN = 1e-8  # below this |psi^T psi| / |psi|^2, E_c falls back to the fitted E
+# both exact-mode stages: trf with the Jacobian's column norms as variable scales
+LSQ_TRF = dict(method="trf", x_scale="jac")
 
 
 def encode_matrix(h, scheme):
@@ -354,7 +358,14 @@ def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
     The residual is [Re; Im] of (M - E) psi, with Jacobian columns
-    (M - E) d_j psi, -psi and -i psi.  The fixed-E warm-up has a nonzero
+    (M - E) d_j psi, -psi and -i psi.  The residual takes psi from row 0 of
+    a tangent sweep (the plain sweep, bit for bit) and keeps the sweep; the
+    Jacobian at the same x, which trf asks for at each accepted x, reuses
+    it, so each evaluated point costs one sweep.  Both stages run trf with
+    ``LSQ_TRF``: a trust region scaled by the Jacobian's column norms (Moré,
+    LNM 630 (1978)), in which radians of zeta and MeV of E weigh alike; in
+    raw units the joint fit crawled on E long after its cost was under
+    ``tol``.  The fixed-E warm-up has a nonzero
     residual by construction, so it stops at an ``ftol`` of
     ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit stops
     when the exact cost is already under the converged tolerance ``tol``
@@ -365,15 +376,18 @@ def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     evaluation budget.
     """
     n, p = vc.n_qubits, config.p
+    swept = None  # (x, tangent sweep) of the last residual
     psi = None  # row 0 of the last Jacobian's tangent sweep
 
     def residual(x):
-        r = vc.residual(_ansatz_states(x[:-2], n, p), complex(x[-2], x[-1]))[0]
+        nonlocal swept
+        swept = np.array(x), _ansatz_states(x[:-2], n, p, tangent=True)
+        r = vc.residual(swept[1][:1], complex(x[-2], x[-1]))[0]
         return np.concatenate([r.real, r.imag])
 
     def jacobian(x):
         nonlocal psi
-        t = _ansatz_states(x[:-2], n, p, tangent=True)
+        t = swept[1] if np.array_equal(swept[0], x) else _ansatz_states(x[:-2], n, p, tangent=True)
         psi = t[0]
         jac = np.vstack([vc.residual(t[1:], complex(x[-2], x[-1])), -t[0], -1j * t[0]]).T
         return np.vstack([jac.real, jac.imag])
@@ -395,11 +409,10 @@ def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     if warmup:
         warm = least_squares(lambda z: residual(np.concatenate([z, e0])), z0,
                              jac=lambda z: jacobian(np.concatenate([z, e0]))[:, :-2],
-                             method="trf", ftol=LSQ_WARMUP_FTOL,
-                             max_nfev=config.warmup_maxiter)
+                             ftol=LSQ_WARMUP_FTOL, max_nfev=config.warmup_maxiter, **LSQ_TRF)
         z0, evaluations = warm.x, warm.nfev
-    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian, method="trf",
-                        max_nfev=config.maxiter, callback=stop_when_settled)
+    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian,
+                        max_nfev=config.maxiter, callback=stop_when_settled, **LSQ_TRF)
     return res.x, 2.0 * res.cost, evaluations + res.nfev
 
 

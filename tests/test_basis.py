@@ -178,6 +178,23 @@ def test_quadrature_size_counts_grid(spec):
         assert quadrature_size(spec, n_per_panel) == len(quadrature_grid(spec, n_per_panel)[0])
 
 
+@pytest.mark.parametrize("n_per_panel", [48, 96])
+def test_quadrature_size_counts_grid_without_slivers(n_per_panel):
+    # at b = 1.36 fm eleven of these HO cut-offs are a whole number of panels
+    # (n = 1, l = 0 among them), where the summed edges once fell a rounding
+    # error short and a sliver panel with a full set of nodes followed
+    specs = [RadialBasisSpec.ho(n, l, b) for n in range(1, 33) for l in range(5)
+             for b in (0.5, 1.36, 2.5)]
+    specs += [RadialBasisSpec.gaussian(n, l, r1, r1 * ratio) for n in (2, 9, 16)
+              for l in (0, 2) for r1 in (0.1, 0.7, 1.0, 1.9) for ratio in (2.0, 7.5, 15.0, 30.0)]
+    for spec in specs:
+        assert quadrature_size(spec, n_per_panel) == len(quadrature_grid(spec, n_per_panel)[0])
+    for n, l, panels in ((1, 0, 10), (30, 1, 19)):
+        r, w = quadrature_grid(RadialBasisSpec.ho(n, l, 1.36), n_per_panel)
+        assert len(r) == panels * n_per_panel
+        assert w.min() > 1e-6 * w.max()
+
+
 @pytest.mark.parametrize("r1, r_max", [(1.0, 1e308), (5e-324, 3.0)])
 def test_quadrature_size_of_endless_grid_is_inf(r1, r_max):
     # 4.5 r_max overflows; half the smallest subnormal r1 is a first panel of width 0

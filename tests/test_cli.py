@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +362,14 @@ class TestFilterInputs:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "config"
         assert "Traceback" not in err
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # start-up is interpreter start plus imports; none of these is needed
+    # to run a command, so a fresh `import csres.cli` must not pull them in
+    heavy = ("scipy.stats", "scipy.integrate", "matplotlib", "pandas")
+    code = f"import sys, csres.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(__file__).parent,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert out.stdout.strip() == "[]"

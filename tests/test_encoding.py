@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,19 @@ class TestDecompose:
         ps = pauli_decompose(m)
         rebuilt = dense_from_terms(ps.items(), 4)
         assert np.abs(rebuilt - m).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lazy_strings_equal_the_trace_formula(self, rng, n):
+        # the strings are expanded on first read, c_P = Tr(P M) / 2^n
+        m = random_complex_matrix(rng, 2**n)
+        ps = pauli_decompose(m)
+        assert "_terms" not in vars(ps)
+        assert np.array_equal(ps.to_matrix(), m)
+        eager = PauliSum(n, {"".join(s): np.trace(kron_pauli(s) @ m) / 2**n
+                             for s in itertools.product("IXYZ", repeat=n)})
+        assert [s for s, _ in ps.items()] == [s for s, _ in eager.items()]
+        np.testing.assert_allclose([c for _, c in ps.items()], [c for _, c in eager.items()],
+                                   rtol=0, atol=1e-13)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="zero-pad"):

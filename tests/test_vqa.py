@@ -85,14 +85,16 @@ class TestBuildAnsatz:
         for a in (signs, ha, hb):
             assert not a.flags.writeable
 
-    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 3), (4, 4)])
     def test_tangent_rows_match_central_differences(self, rng, n, p):
         d = p * (3 * n - 1)
         zeta = rng.uniform(-0.8, 0.8, d)
         rows = _ansatz_states(zeta, n, p, tangent=True)
         assert rows.shape == (d + 1, 2**n)
-        # row 0 of the tangent sweep is the plain sweep's psi, bit for bit
-        assert np.array_equal(rows[0], _ansatz_states(zeta, n, p)[0])
+        # row 0 of the tangent sweep is the plain sweep's psi, bit for bit:
+        # the exact-mode residual reads it, and its Jacobian reuses the sweep
+        plain = _ansatz_states(zeta, n, p)[0]
+        assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (rows[0], plain)))
         slow = apply_circuit(zero_state(n), build_ansatz(AnsatzParams.from_vector(zeta, n, p), n))
         np.testing.assert_allclose(rows[0], slow, atol=1e-12)
         step = 1e-6
@@ -379,6 +381,29 @@ class TestMinimize:
         assert est.converged
         assert np.abs(lam - est.energy).min() < 1e-4
         assert est.iterations < config.maxiter
+
+    def test_one_ansatz_sweep_per_evaluation(self, h5_gray, monkeypatch):
+        # the Jacobian at an evaluated point reuses its residual's sweep, so a
+        # run with a warm-up sweeps once per evaluation, plus its final state
+        calls = []
+
+        def counted(*args, _fn=csres.vqa._ansatz_states, **kwargs):
+            calls.append(None)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(csres.vqa, "_ansatz_states", counted)
+        est = minimize_variance(h5_gray, VqaConfig(p=3), init_energy=1.0 - 0.1j, seed=3)
+        assert est.converged and est.iterations > 10
+        assert len(calls) == est.iterations + 1
+
+    def test_exact_mode_never_expands_the_gray_strings(self, h5_matrix):
+        # exact mode runs on the dense matrix; only shot mode reads the strings
+        h_sum = encode_gray(h5_matrix)
+        vc = VarianceCost(h_sum)
+        minimize_variance(vc, VqaConfig(p=2, maxiter=40, warmup_maxiter=20), seed=4)
+        assert "_terms" not in vars(h_sum)
+        vc.frozen_noise(np.random.default_rng(0))
+        assert "_terms" in vars(h_sum)
 
     @pytest.mark.parametrize("shots, solver", [(None, "least_squares"), (256, "minimize")])
     def test_warmup_runs_exactly_for_a_random_start(self, h5_gray, monkeypatch,
