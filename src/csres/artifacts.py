@@ -2,7 +2,8 @@
 
 Every file starts with comment lines embedding the fully resolved run
 configuration and seed, so a rerun with the same header is bit-identical
-(given seeds, in shot mode).
+(given seeds, in shot mode).  This module owns every file format the
+command line writes or reads.
 """
 
 from __future__ import annotations
@@ -17,46 +18,51 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _header_lines(config, seed=None):
-    resolved = json.dumps(config, sort_keys=True, default=str)
-    lines = [f"# config: {resolved}"]
+def _write_lines(path, lines, config, seed=None):
+    """Write the ``# config`` (and ``# seed``) header, then ``lines``; return the path."""
+    header = [f"# config: {json.dumps(config, sort_keys=True, default=str)}"]
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return lines
+        header.append(f"# seed: {seed}")
+    path = Path(path)
+    path.write_text("\n".join(header + lines) + "\n")
+    return path
+
+
+def _write_json(path, payload, config, seed=None, indent=None):
+    """Write ``payload`` with ``config`` and, given one, ``seed`` added; return the path."""
+    payload["config"] = config
+    if seed is not None:
+        payload["seed"] = seed
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=indent, sort_keys=True, default=str) + "\n")
+    return path
 
 
 def write_spectrum_csv(path, rows, config, seed=None):
     """Spectrum rows: (theta_deg, l, index, energy, label, residual)."""
-    path = Path(path)
-    out = _header_lines(config, seed)
-    out.append("theta_deg,l,index,E_real_MeV,E_imag_MeV,label,residual")
+    lines = ["theta_deg,l,index,E_real_MeV,E_imag_MeV,label,residual"]
     for theta, l, idx, energy, label, residual in rows:
-        out.append(
+        lines.append(
             f"{_fmt(theta)},{l},{idx},{_fmt(energy.real)},{_fmt(energy.imag)},"
             f"{label},{residual:.3e}"
         )
-    path.write_text("\n".join(out) + "\n")
-    return path
+    return _write_lines(path, lines, config, seed)
 
 
 def write_trajectory_csv(path, traj, config, seed=None):
     """One row per grid theta: accepted points carry energies, rejections a reason."""
-    path = Path(path)
-    out = _header_lines(config, seed)
-    out.append("theta_deg,E_re_MeV,E_im_MeV,accepted,reason")
+    lines = ["theta_deg,E_re_MeV,E_im_MeV,accepted,reason"]
     accepted = {p.theta_deg: p.energy for p in traj.points}
     for theta, ok, reason in traj.log:
         if ok:
             e = accepted[theta]
-            out.append(f"{_fmt(theta)},{_fmt(e.real)},{_fmt(e.imag)},1,accepted")
+            lines.append(f"{_fmt(theta)},{_fmt(e.real)},{_fmt(e.imag)},1,accepted")
         else:
-            out.append(f'{_fmt(theta)},,,0,"{reason}"')
-    path.write_text("\n".join(out) + "\n")
-    return path
+            lines.append(f'{_fmt(theta)},,,0,"{reason}"')
+    return _write_lines(path, lines, config, seed)
 
 
 def write_estimate_json(path, estimate, config, seed=None):
-    path = Path(path)
     payload = {
         "E_re": estimate.energy.real,
         "E_im": estimate.energy.imag,
@@ -64,82 +70,74 @@ def write_estimate_json(path, estimate, config, seed=None):
         "bin_w_im": estimate.bin_width_im,
         "n_points": estimate.n_points,
         "bins": estimate.bins,
-        "config": config,
     }
-    if seed is not None:
-        payload["seed"] = seed
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-    return path
+    return _write_json(path, payload, config, seed, indent=2)
 
 
 def write_histogram_csv(path, counts, lo_center, width, config, seed=None):
-    path = Path(path)
-    out = _header_lines(config, seed)
-    out.append("bin_center,count")
+    lines = ["bin_center,count"]
     counts = np.asarray(counts)
     for i, c in enumerate(counts):
-        out.append(f"{_fmt(lo_center + i * width)},{int(c)}")
-    path.write_text("\n".join(out) + "\n")
-    return path
+        lines.append(f"{_fmt(lo_center + i * width)},{int(c)}")
+    return _write_lines(path, lines, config, seed)
 
 
 def write_overlay_csv(path, classical_energies, clusters, config, seed=None):
     """Classical eigenvalues next to aggregated quantum clusters."""
-    path = Path(path)
-    out = _header_lines(config, seed)
-    out.append("kind,E_re_MeV,E_im_MeV,mad_re,mad_im,n_members")
+    lines = ["kind,E_re_MeV,E_im_MeV,mad_re,mad_im,n_members"]
     for e in classical_energies:
-        out.append(f"classical,{_fmt(e.real)},{_fmt(e.imag)},,,")
+        lines.append(f"classical,{_fmt(e.real)},{_fmt(e.imag)},,,")
     for cl in clusters:
         med, mad = cl["median"], cl["mad"]
-        out.append(
+        lines.append(
             f"quantum,{_fmt(med.real)},{_fmt(med.imag)},{_fmt(mad[0])},"
             f"{_fmt(mad[1])},{cl['n_members']}"
         )
-    path.write_text("\n".join(out) + "\n")
-    return path
+    return _write_lines(path, lines, config, seed)
 
 
 def write_heatmap_csv(path, report, config, seed=None):
     """Filtration heatmap: one row per state, one column per ancilla word."""
-    path = Path(path)
     words = report.words
-    out = _header_lines(config, seed)
-    out.append("E_re,E_im," + ",".join(words) + ",physical")
+    lines = ["E_re,E_im," + ",".join(words) + ",physical"]
     for row in report.rows:
         cells = ",".join(_fmt(row.percentages.get(w, 0.0)) for w in words)
-        out.append(
+        lines.append(
             f"{_fmt(row.energy.real)},{_fmt(row.energy.imag)},{cells},"
             f"{int(row.physical)}"
         )
-    path.write_text("\n".join(out) + "\n")
-    return path
+    return _write_lines(path, lines, config, seed)
 
 
 def write_marker_csv(path, marker, config, seed=None):
     """An artifact with no rows: the header, then ``marker`` as one JSON comment line."""
-    path = Path(path)
-    path.write_text("\n".join(_header_lines(config, seed) + ["# " + json.dumps(marker)]) + "\n")
-    return path
+    return _write_lines(path, ["# " + json.dumps(marker)], config, seed)
 
 
-def write_runlog_jsonl(path, records, config=None):
+def write_runlog_jsonl(path, estimates, config):
+    """The config as one JSON line, then one line per variational run (an EigenpairEstimate)."""
+    lines = [json.dumps({"config": config}, sort_keys=True, default=str)]
+    for est in estimates:
+        record = {
+            "seed": est.seed,
+            "init_E": [est.init_energy.real, est.init_energy.imag],
+            "final_E_re": est.energy.real,
+            "final_E_im": est.energy.imag,
+            "cost": est.cost,
+            "iterations": est.iterations,
+            "converged": est.converged,
+        }
+        lines.append(json.dumps(record, sort_keys=True))
     path = Path(path)
-    lines = []
-    if config is not None:
-        lines.append(json.dumps({"config": config}, sort_keys=True, default=str))
-    lines.extend(json.dumps(r, sort_keys=True) for r in records)
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_states_json(path, estimates, n_qubits, config, seed=None, encoding=None):
     """Converged eigenstates with energies, for the filtration command."""
-    path = Path(path)
     payload = {
         "n_qubits": n_qubits,
         "encoding": encoding,
-        "config": config,
         "states": [
             {
                 "E_re": est.energy.real,
@@ -149,10 +147,7 @@ def write_states_json(path, estimates, n_qubits, config, seed=None, encoding=Non
             for est in estimates
         ],
     }
-    if seed is not None:
-        payload["seed"] = seed
-    path.write_text(json.dumps(payload, sort_keys=True, default=str) + "\n")
-    return path
+    return _write_json(path, payload, config, seed)
 
 
 def read_states_json(path):

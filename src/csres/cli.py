@@ -39,7 +39,6 @@ from .vqa import (
     VqaConfig,
     aggregate_spectra,
     encode_matrix,
-    run_log_record,
     scan_spectrum,
 )
 
@@ -104,8 +103,8 @@ def _number(config, path, kind, default=_REQUIRED, minimum=None):
         if default is _REQUIRED:
             raise ConfigError(f"config needs {path}")
         return default
-    # int() would read true as 1 and truncate 2.5 to 2
-    bad = isinstance(value, bool) or (
+    # int() would read true as 1 and "4" as 4, and truncate 2.5 to 2
+    bad = isinstance(value, (bool, str)) or (
         kind is int and isinstance(value, float) and not value.is_integer())
     try:
         number = kind(value)
@@ -298,8 +297,7 @@ def cmd_spectrum_quantum(config, args):
         raise NumericalError("no variational run converged")
     artifacts.write_overlay_csv(out / "spectrum_overlay.csv", classical, clusters,
                                 config, seed=vqa.base_seed)
-    records = [run_log_record(e) for run in per_run for e in run]
-    artifacts.write_runlog_jsonl(out / "runs.jsonl", records, config)
+    artifacts.write_runlog_jsonl(out / "runs.jsonl", [e for run in per_run for e in run], config)
     reps = [cl["members"][0] for cl in clusters]
     artifacts.write_states_json(out / "states.json", reps, vc.n_qubits, config,
                                 seed=vqa.base_seed, encoding=vqa.encoding)

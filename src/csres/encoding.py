@@ -237,20 +237,15 @@ def encode_gray(h) -> PauliSum:
     return pauli_decompose(encoded)
 
 
-def hermitianize(h_sum: PauliSum, energy: complex, side: str = "right") -> PauliSum:
-    """Hermitian cost operator whose expectation vanishes at an eigenpair.
+def hermitianize(h_sum: PauliSum, energy: complex) -> PauliSum:
+    """Hermitian cost operator whose expectation vanishes at a right eigenpair.
 
-    ``right``: (H+ - E*)(H - E) = H+H - E* H - E H+ + |E|^2; minimising its
-    expectation yields right eigenvectors.  ``left`` swaps the factors and
-    targets left eigenvectors.  All coefficients of the result are real.
+    (H+ - E*)(H - E) = H+H - E* H - E H+ + |E|^2; minimising its
+    expectation yields right eigenvectors.  All coefficients of the result
+    are real.
     """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
     energy = complex(energy)
     hd = h_sum.dagger()
-    first, second = (hd, h_sum) if side == "right" else (h_sum, hd)
-    prod = pauli_multiply(first, second)
-    # both variants share the linear part -E H+ - E* H
     linear = hd.scaled(-energy) + h_sum.scaled(-np.conj(energy))
     const = PauliSum(h_sum.n_qubits, {"I" * h_sum.n_qubits: abs(energy) ** 2})
-    return prod + linear + const
+    return pauli_multiply(hd, h_sum) + linear + const

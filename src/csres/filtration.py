@@ -121,8 +121,6 @@ class FiltrationRow:
 @dataclass(frozen=True)
 class FiltrationReport:
     rows: tuple
-    n_r: int
-    shots: int
 
     @property
     def words(self):
@@ -151,4 +149,4 @@ def filtration_report(states, energies, n_r=3, shots=8192, seed=0) -> Filtration
                 physical=perc.get(weight1, 0.0) >= PHYSICAL_THRESHOLD,
             )
         )
-    return FiltrationReport(rows=tuple(rows), n_r=n_r, shots=shots)
+    return FiltrationReport(rows=tuple(rows))

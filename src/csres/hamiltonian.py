@@ -176,14 +176,14 @@ def _scaled_at_nodes(spec, model, theta_deg, n_per_panel):
     return np.exp(-2j * theta) * model.hbar2_over_2mu * quad.t_mat + (v_re + 1j * v_im)
 
 
-def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
-                       n_per_panel: int = N_PER_PANEL):
+def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float):
     """Raw-basis scaled Hamiltonian and overlap, ``(H(theta), S)``.
 
     ``H_ij = e^(-2 i theta) * prefactor * T_ij + int phi_i V(r e^(i theta))
     phi_j r^2 dr`` with the quadrature convergence verified by node
-    doubling (relative change above 1e-8 raises :class:`NumericalError`
-    naming theta and the worst matrix element).
+    doubling (a relative change above 1e-8, or a matrix element that is
+    not finite, raises :class:`NumericalError` naming theta and the worst
+    matrix element).
 
     Computed once per basis and grid, and reused while the basis stays the
     same: the nodes, the weights, the basis functions on the nodes and T,
@@ -193,11 +193,12 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     """
     if not (0.0 <= theta_deg < 45.0):
         raise ValueError("theta must lie in [0, 45) degrees")
-    h = _scaled_at_nodes(spec, model, theta_deg, n_per_panel)
-    h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * n_per_panel)
+    h = _scaled_at_nodes(spec, model, theta_deg, N_PER_PANEL)
+    h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * N_PER_PANEL)
     scale = np.abs(h2).max()
     delta = np.abs(h - h2)
-    if delta.max() > 1e-8 * scale:
+    # a NaN compares False either way round: only a finite H can pass
+    if not delta.max() <= 1e-8 * scale < np.inf:
         i, j = np.unravel_index(np.argmax(delta), delta.shape)
         raise NumericalError(
             f"quadrature not converged at theta={float(theta_deg)!r} deg for matrix element "
@@ -206,8 +207,8 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     return h2, overlap_matrix(spec)
 
 
-def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel, theta_deg: float,
-                        n_per_panel: int = N_PER_PANEL) -> ScaledHamiltonian:
+def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel,
+                        theta_deg: float) -> ScaledHamiltonian:
     """Scaled Hamiltonian transformed to the Gram-Schmidt orthonormal basis.
 
     This is the matrix handed to the qubit encodings.  The transform matrix
@@ -216,7 +217,7 @@ def build_scaled_matrix(spec: RadialBasisSpec, model: PotentialModel, theta_deg:
     computed once per basis and reused while the basis stays the same;
     the raw matrix is built at every theta by :func:`build_raw_matrices`.
     """
-    h_raw, _ = build_raw_matrices(spec, model, theta_deg, n_per_panel)
+    h_raw, _ = build_raw_matrices(spec, model, theta_deg)
     c = _orthonormal(spec).c
     return ScaledHamiltonian(
         theta_deg=float(theta_deg),

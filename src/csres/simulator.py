@@ -9,7 +9,7 @@ reads its own rows from its share of the pass, and :func:`shot_estimate`
 turns those exact means into the shot model's estimate.
 
 Gate conventions: ``RX(t) = exp(-i t X / 2)``, ``RZ(t) = exp(-i t Z / 2)``,
-``RXX(t) = exp(-i t X X)`` (no half angle), ``Phase(p) = diag(1, e^{ip})``.
+``RXX(t) = exp(-i t X X)`` (no half angle), ``CPhase(p) = diag(1, 1, 1, e^{ip})``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class Circuit:
         self._check(q)
         self.gates.append(Gate("h", (q,)))
 
-    def phase(self, q, angle):
-        self._check(q)
-        self.gates.append(Gate("phase", (q,), float(angle)))
-
     def cphase(self, control, target, angle):
         self._check(control, target)
         self.gates.append(Gate("cphase", (control, target), float(angle)))
@@ -105,8 +101,6 @@ def _gate_unitary(gate):
         return np.diag([np.exp(-1j * gate.angle / 2), np.exp(1j * gate.angle / 2)])
     if gate.name == "h":
         return np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    if gate.name == "phase":
-        return np.diag([1.0, np.exp(1j * gate.angle)])
     if gate.name == "rxx":
         c, s = np.cos(gate.angle), -1j * np.sin(gate.angle)
         return np.array(

@@ -35,7 +35,6 @@ logger = logging.getLogger(__name__)
 class TrajectoryPoint:
     theta_deg: float
     energy: complex
-    source: str
 
 
 @dataclass
@@ -120,7 +119,7 @@ def run_trajectory(
         for th, energies in zip(thetas, spectra):
             pick = energies[np.argmin(np.abs(energies - prev))]
             if abs(pick - center) <= radius:
-                points.append(TrajectoryPoint(float(th), complex(pick), CLASSICAL))
+                points.append(TrajectoryPoint(float(th), complex(pick)))
                 prev = pick
                 log.append((float(th), True, "accepted"))
             else:
@@ -145,7 +144,7 @@ def run_trajectory(
                 est = minimize_variance(vc, vqa_config, **kwargs)
                 reason = _rejection(est, center, radius)
                 if reason is None:
-                    points.append(TrajectoryPoint(float(th), complex(est.energy), QUANTUM))
+                    points.append(TrajectoryPoint(float(th), complex(est.energy)))
                     log.append((float(th), True, f"accepted ({how})"))
                     last = est
                     break

@@ -313,7 +313,7 @@ def _variance_cost(h):
     return h if isinstance(h, VarianceCost) else VarianceCost(h)
 
 
-def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, rng=None):
+def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None):
     """Energy-parameterised variance cost for a single evaluation."""
     if params.n_qubits != h_sum.n_qubits:
         raise ValueError("ansatz register size mismatch")
@@ -321,8 +321,7 @@ def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None, r
     states = _ansatz_states(params.to_vector(), params.n_qubits, params.p)
     if shots is None:
         return float(vc.exact(states, energy)[0])
-    rng = np.random.default_rng(seed) if rng is None else rng
-    e1, t1 = vc.brackets_sampled(states, shots, rng)
+    e1, t1 = vc.brackets_sampled(states, shots, np.random.default_rng(seed))
     return float(VarianceCost.combine(e1[0], t1[0], complex(energy)))
 
 
@@ -567,16 +566,3 @@ def aggregate_spectra(per_run_estimates, radius=0.25):
         )
     out.sort(key=lambda d: (d["median"].real, d["median"].imag))
     return out
-
-
-def run_log_record(est: EigenpairEstimate) -> dict:
-    """JSONL-ready record of one run."""
-    return {
-        "seed": est.seed,
-        "init_E": [est.init_energy.real, est.init_energy.imag],
-        "final_E_re": est.energy.real,
-        "final_E_im": est.energy.imag,
-        "cost": est.cost,
-        "iterations": est.iterations,
-        "converged": est.converged,
-    }

@@ -84,6 +84,10 @@ class TestConfigValidation:
         ("spectrum-quantum", {"aggregate_radius": -1}),
         # shot mode judges convergence by shot_tol_scale, never by cost_tol
         ("spectrum-quantum", {"shots": 1024, "cost_tol": 1e-3}),
+        # a quoted number is a string, not a number of its type
+        ("spectrum-classical",
+         {"basis": {"family": "gaussian", "n": "4", "l": 1, "r1": 1.0, "r_max": 3.0}}),
+        ("spectrum-classical", {"theta": {"value": "10"}}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, override):
         doc = {
@@ -293,6 +297,37 @@ class TestQuantumPipeline:
         rc = main(["spectrum-quantum", "--config", cfg, "--exact"])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+class TestNumericalFailure:
+    HO = {"family": "ho", "n": 4, "l": 0, "b": 1.36}
+    OVERFLOWING = {"kind": "alpha_alpha", "v0": 1e308, "k": 1e-300}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf, inf - inf
+    @pytest.mark.parametrize("command, model, basis", [
+        # the HO kinetic term divides by b^2 and b^4
+        ("spectrum-classical", {"kind": "alpha_alpha"}, {**HO, "b": 1e-200}),
+        ("spectrum-classical", {"kind": "alpha_alpha"}, {**HO, "b": 1e200}),
+        # non-finite matrix elements fail the node-doubling check
+        ("spectrum-classical", {"kind": "schematic"},
+         {"family": "gaussian", "n": 4, "l": 1, "r1": 1e-300, "r_max": 15.0}),
+        ("spectrum-classical", OVERFLOWING, HO),
+        ("trajectory", OVERFLOWING, HO),
+    ])
+    def test_unevaluable_matrix_exits_3(self, tmp_path, capsys, command, model, basis):
+        doc = {
+            "model": model,
+            "basis": basis,
+            "theta": {"start": 10.0, "stop": 12.0, "step": 1.0},
+            "neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": 0.5},
+            "engine": "quantum",
+            "out_dir": str(tmp_path / "out"),
+        }
+        cfg = write_yaml(tmp_path / "c.yaml", doc)
+        assert main([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "numerical"
+        assert "Traceback" not in err
 
 
 class TestFilterGrayMarker:

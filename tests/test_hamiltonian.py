@@ -84,9 +84,23 @@ class TestBuildScaledMatrix:
             np.testing.assert_allclose(t_quad, t_closed,
                                        atol=1e-10 * np.abs(t_closed).max(), err_msg=str(spec))
 
-    def test_quadrature_convergence_guard(self, small_gauss_basis, schematic):
+    def test_quadrature_convergence_guard(self, small_gauss_basis, schematic, monkeypatch):
+        from csres import hamiltonian
+
+        monkeypatch.setattr(hamiltonian, "N_PER_PANEL", 3)
         with pytest.raises(NumericalError, match=r"at theta=40\.0 deg for matrix element"):
-            build_raw_matrices(small_gauss_basis, schematic, 40.0, n_per_panel=3)
+            build_raw_matrices(small_gauss_basis, schematic, 40.0)
+
+    @pytest.mark.parametrize("spec, model", [
+        # the widths 1/r1^2 overflow to inf
+        (RadialBasisSpec.gaussian(4, 1, 1e-300, 15.0), PotentialModel.schematic()),
+        # V0 exp(-k r^2) overflows to inf on the rotated nodes
+        (RadialBasisSpec.ho(4, 0, 1.36), PotentialModel.alpha_alpha(v0=1e308, k=1e-300)),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf, inf - inf
+    def test_non_finite_matrix_fails_node_doubling(self, spec, model):
+        with pytest.raises(NumericalError, match=r"at theta=10\.0 deg for matrix element"):
+            build_raw_matrices(spec, model, 10.0)
 
     def test_redundant_bound_states(self, alpha_alpha):
         # the deep unphysical bound states pin the kinetic scale

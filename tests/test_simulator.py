@@ -22,11 +22,11 @@ def random_state(rng, n):
 def random_circuit(rng, n, depth=12):
     circ = Circuit(n)
     for _ in range(depth):
-        kind = rng.choice(["rx", "rz", "rxx", "h", "phase", "cphase", "swap"])
+        kind = rng.choice(["rx", "rz", "rxx", "h", "cphase", "swap"])
         q = int(rng.integers(n))
         q2 = int((q + 1 + rng.integers(n - 1)) % n)
         angle = float(rng.uniform(-np.pi, np.pi))
-        if kind in ("rx", "rz", "phase"):
+        if kind in ("rx", "rz"):
             getattr(circ, kind)(q, angle)
         elif kind == "h":
             circ.h(q)
@@ -55,8 +55,6 @@ def dense_unitary(circ):
             u = embed_1q(u1, gate.qubits[0], n)
         elif gate.name == "h":
             u = embed_1q(np.array([[1, 1], [1, -1]]) / np.sqrt(2), gate.qubits[0], n)
-        elif gate.name == "phase":
-            u = embed_1q(np.diag([1.0, np.exp(1j * gate.angle)]), gate.qubits[0], n)
         elif gate.name == "rxx":
             q1, q2 = gate.qubits
             xx = pauli_on(n, {q1: "X", q2: "X"})

@@ -21,7 +21,7 @@ from csres.hamiltonian import build_raw_matrices, solve_energies
 
 def synthetic_trajectory(energies, thetas=None):
     thetas = thetas if thetas is not None else np.arange(len(energies), dtype=float) + 1.0
-    pts = [TrajectoryPoint(float(t), complex(e), "classical") for t, e in zip(thetas, energies)]
+    pts = [TrajectoryPoint(float(t), complex(e)) for t, e in zip(thetas, energies)]
     return ThetaTrajectory(points=pts)
 
 
@@ -114,7 +114,6 @@ class TestRunTrajectory:
         center, radius = 1.17 - 0.0j, 0.5
         traj = run_trajectory(basis, schematic, np.arange(2.0, 30.0, 1.0), center, radius)
         assert all(abs(p.energy - center) <= radius for p in traj.points)
-        assert all(p.source == "classical" for p in traj.points)
         thetas = traj.thetas
         assert np.all(np.diff(thetas) > 0)
         assert len(traj.log) == 28
