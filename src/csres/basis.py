@@ -262,9 +262,5 @@ def kinetic_applied(spec: RadialBasisSpec, idx: int, r) -> np.ndarray:
         return norm * np.exp(-alpha * r**2) * (
             2.0 * alpha * (2 * l + 3) * r**l - 4.0 * alpha**2 * r ** (l + 2)
         )
-    b = spec.b
-    try:  # b**2 and b**4 are Python floats, which raise where numpy would warn
-        level = (4 * idx + 2 * l + 3) / b**2 - r**2 / b**4
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NumericalError(f"HO basis with b={b!r} fm cannot be evaluated: {exc}") from exc
-    return level * eval_ho_radial(spec, idx, r)
+    b = np.float64(spec.b)  # numpy gives inf or NaN where a Python float would raise
+    return ((4 * idx + 2 * l + 3) / b**2 - r**2 / b**4) * eval_ho_radial(spec, idx, r)

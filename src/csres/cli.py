@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -67,9 +68,20 @@ MAX_QUBITS = 12  # the dense encoded matrix of 12 qubits takes 256 MiB
 MAX_GRID_VALUES = 4_000_000
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe loading that reads ``1e-6`` and ``1.0e6`` as floats, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path) -> dict:
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):

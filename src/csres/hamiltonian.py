@@ -181,9 +181,9 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
 
     ``H_ij = e^(-2 i theta) * prefactor * T_ij + int phi_i V(r e^(i theta))
     phi_j r^2 dr`` with the quadrature convergence verified by node
-    doubling (a relative change above 1e-8, or a matrix element that is
-    not finite, raises :class:`NumericalError` naming theta and the worst
-    matrix element).
+    doubling (a relative change above 1e-8 raises :class:`NumericalError`
+    naming theta and the worst matrix element; a matrix element that is not
+    finite raises it naming theta).
 
     Computed once per basis and grid, and reused while the basis stays the
     same: the nodes, the weights, the basis functions on the nodes and T,
@@ -193,12 +193,19 @@ def build_raw_matrices(spec: RadialBasisSpec, model: PotentialModel, theta_deg: 
     """
     if not (0.0 <= theta_deg < 45.0):
         raise ValueError("theta must lie in [0, 45) degrees")
-    h = _scaled_at_nodes(spec, model, theta_deg, N_PER_PANEL)
-    h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * N_PER_PANEL)
-    scale = np.abs(h2).max()
-    delta = np.abs(h - h2)
-    # a NaN compares False either way round: only a finite H can pass
-    if not delta.max() <= 1e-8 * scale < np.inf:
+    # an overflow or 0/0 here ends as an inf or NaN in H, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = _scaled_at_nodes(spec, model, theta_deg, N_PER_PANEL)
+        h2 = _scaled_at_nodes(spec, model, theta_deg, 2 * N_PER_PANEL)
+        scale = np.abs(h2).max()
+        delta = np.abs(h - h2)
+    # max() passes a NaN on, so a NaN or inf in h or h2 makes one of these non-finite
+    if not (np.isfinite(scale) and np.isfinite(delta.max())):
+        raise NumericalError(
+            f"scaled Hamiltonian at theta={float(theta_deg)!r} deg is not finite: "
+            "the model or basis cannot be evaluated"
+        )
+    if delta.max() > 1e-8 * scale:
         i, j = np.unravel_index(np.argmax(delta), delta.shape)
         raise NumericalError(
             f"quadrature not converged at theta={float(theta_deg)!r} deg for matrix element "

@@ -41,6 +41,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model.oops"):
             load_config(cfg)
 
+    def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 alone would load these as strings, rejected as quoted numbers
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            "model: {kind: schematic}\n"
+            "basis: {family: gaussian, n: 4, l: 1, r1: 1e0, r_max: 3E+0}\n"
+            "theta: {value: 2.4e1}\n"
+            "cost_tol: 1e-6\n"
+            f"out_dir: {tmp_path / 'out'}\n"
+        )
+        config = load_config(cfg)
+        assert config["cost_tol"] == 1e-6 and config["basis"]["r_max"] == 3.0
+        assert main(["spectrum-classical", "--config", str(cfg)]) == 0
+
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", {"bogus": 1})
         rc = main(["spectrum-classical", "--config", cfg])
@@ -303,12 +317,12 @@ class TestNumericalFailure:
     HO = {"family": "ho", "n": 4, "l": 0, "b": 1.36}
     OVERFLOWING = {"kind": "alpha_alpha", "v0": 1e308, "k": 1e-300}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf, inf - inf
+    @pytest.mark.filterwarnings("error")  # a warning would print before the JSON line
     @pytest.mark.parametrize("command, model, basis", [
         # the HO kinetic term divides by b^2 and b^4
         ("spectrum-classical", {"kind": "alpha_alpha"}, {**HO, "b": 1e-200}),
         ("spectrum-classical", {"kind": "alpha_alpha"}, {**HO, "b": 1e200}),
-        # non-finite matrix elements fail the node-doubling check
+        # non-finite matrix elements fail the finiteness check
         ("spectrum-classical", {"kind": "schematic"},
          {"family": "gaussian", "n": 4, "l": 1, "r1": 1e-300, "r_max": 15.0}),
         ("spectrum-classical", OVERFLOWING, HO),
@@ -326,7 +340,7 @@ class TestNumericalFailure:
         cfg = write_yaml(tmp_path / "c.yaml", doc)
         assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "numerical"
+        assert json.loads(err)["error"] == "numerical" and "is not finite" in err
         assert "Traceback" not in err
 
 

@@ -96,10 +96,13 @@ class TestBuildScaledMatrix:
         (RadialBasisSpec.gaussian(4, 1, 1e-300, 15.0), PotentialModel.schematic()),
         # V0 exp(-k r^2) overflows to inf on the rotated nodes
         (RadialBasisSpec.ho(4, 0, 1.36), PotentialModel.alpha_alpha(v0=1e308, k=1e-300)),
+        # the HO kinetic term divides by b^2 and b^4
+        (RadialBasisSpec.ho(4, 0, 1e-200), PotentialModel.alpha_alpha()),
+        (RadialBasisSpec.ho(4, 0, 1e200), PotentialModel.alpha_alpha()),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf, inf - inf
-    def test_non_finite_matrix_fails_node_doubling(self, spec, model):
-        with pytest.raises(NumericalError, match=r"at theta=10\.0 deg for matrix element"):
+    @pytest.mark.filterwarnings("error")  # the overflows stay silent
+    def test_non_finite_matrix_is_numerical_error(self, spec, model):
+        with pytest.raises(NumericalError, match=r"at theta=10\.0 deg is not finite"):
             build_raw_matrices(spec, model, 10.0)
 
     def test_redundant_bound_states(self, alpha_alpha):
