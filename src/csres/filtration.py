@@ -59,14 +59,15 @@ def qpe_ancilla_probabilities(state, n_r: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def qpe_project(state, n_r: int, shots: int, seed=None, rng=None) -> dict:
-    """Sampled ancilla counts (keys are n_r-bit words, MSB first)."""
+def qpe_project(state, n_r: int, shots: int, seed=None) -> dict:
+    """Sampled ancilla counts (keys are n_r-bit words, MSB first).
+
+    ``seed`` may be a ``numpy.random.Generator``, which is drawn from as it is.
+    """
     if shots <= 0:
         raise ValueError("shots must be positive")
     probs = qpe_ancilla_probabilities(state, n_r)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
+    draws = np.random.default_rng(seed).multinomial(shots, probs)
     return {format(k, f"0{n_r}b"): int(c) for k, c in enumerate(draws) if c > 0}
 
 
@@ -138,7 +139,7 @@ def filtration_report(states, energies, n_r=3, shots=8192, seed=0) -> Filtration
     weight1 = format(1, f"0{n_r}b")
     rows = []
     for state, energy in zip(states, energies):
-        counts = qpe_project(state, n_r, shots, rng=rng)
+        counts = qpe_project(state, n_r, shots, seed=rng)
         total = sum(counts.values())
         perc = {w: 100.0 * c / total for w, c in counts.items()}
         rows.append(

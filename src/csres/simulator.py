@@ -215,20 +215,19 @@ def compiled(*sums: PauliSum) -> _CompiledSum:
     return _CompiledSum(*sums)
 
 
-def expectation_sum(state, psum: PauliSum, shots=None, seed=None, rng=None) -> complex:
+def expectation_sum(state, psum: PauliSum, shots=None, seed=None) -> complex:
     """<psi|A|psi> for a Pauli sum.
 
     Exact mode (``shots`` omitted): sum of per-string expectations.  Shot
     mode: the fresh-binomial shot model of :func:`shot_estimate` (every
     string measured on its own, identity strings exact), reproducible for a
-    given seed or generator.
+    given ``seed``; a ``numpy.random.Generator`` as ``seed`` is drawn from
+    as it is.
     """
     comp = compiled(psum)
     psi = np.asarray(state, dtype=complex)
     if shots is None:
         return complex(comp.expectation(psi))
-    if rng is None:
-        rng = np.random.default_rng(seed)
     _, coeffs, is_identity = comp.shares[0]
     return complex(shot_estimate(comp.term_expectations(psi), coeffs, is_identity, shots,
-                                 rng=rng))
+                                 rng=np.random.default_rng(seed)))

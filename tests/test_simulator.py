@@ -174,7 +174,7 @@ class TestExpectations:
         reps = 200
         rng = np.random.default_rng(11)
         ests = [
-            expectation_sum(psi, psum, shots=shots, rng=rng).real for _ in range(reps)
+            expectation_sum(psi, psum, shots=shots, seed=rng).real for _ in range(reps)
         ]
         observed = np.std(ests)
         predicted = np.sqrt((1.0 - exact**2) / shots)

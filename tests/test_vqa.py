@@ -1,7 +1,13 @@
 import gc
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +33,8 @@ from csres import (
     zero_state,
 )
 import csres.vqa
-from csres.vqa import VarianceCost, _ansatz_states, _make_objective, _sweep_plan
+from csres.vqa import (CLUSTER_RADIUS, VarianceCost, _ansatz_states, _make_objective,
+                       _run_restarts, _sweep_plan, cluster_estimates)
 
 from oracles import dense_from_terms, kron_pauli
 
@@ -453,7 +460,47 @@ class TestMinimize:
         assert np.isfinite(est.cost)
 
 
+def _bits(est):
+    return (est.energy, est.cost, est.converged, est.iterations, est.seed, est.multiplicity,
+            est.state.tobytes())
+
+
 class TestScanAggregate:
+    @pytest.mark.parametrize("shots", [None, 2048])
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}, None],
+                             ids=["two-workers", "one-cpu", "no-affinity-call"])
+    def test_scan_is_the_sequential_loop_bit_for_bit(self, h5_gray, monkeypatch, shots, cpus):
+        # the restarts run in one forked worker per CPU, or in this process
+        # on one CPU and where os.sched_getaffinity does not exist (non-Linux)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        config = VqaConfig(p=3, shots=shots, repetitions=4, maxiter=80, warmup_maxiter=30,
+                           init_energy=-1.2 - 0.01j, scan_step=0.5, base_seed=100)
+        runs = [minimize_variance(h5_gray, config, seed=config.base_seed + k,
+                                  init_energy=config.init_energy + k * config.scan_step)
+                for k in range(config.repetitions)]
+        got = _run_restarts(VarianceCost(h5_gray), config)
+        assert [_bits(e) for e in got] == [_bits(e) for e in runs]  # in restart order
+        reps = [replace(min(cl, key=lambda e: e.cost), multiplicity=len(cl))
+                for cl in cluster_estimates([e for e in runs if e.converged], CLUSTER_RADIUS)]
+        reps.sort(key=lambda e: (e.energy.real, e.energy.imag))
+        assert len(reps) >= 2
+        assert [_bits(e) for e in scan_spectrum(h5_gray, config)] == [_bits(e) for e in reps]
+
+    def test_worker_failure_reaches_the_caller_and_no_worker_outlives_a_scan(
+            self, h5_gray, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = VqaConfig(p=1, shots=256, repetitions=3, maxiter=5, warmup_maxiter=5)
+        scan_spectrum(h5_gray, config)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="^shots must be positive$") as failure:
+            scan_spectrum(h5_gray, replace(config, shots=0))
+        # raised by shot_estimate in a worker, with the worker's traceback as its cause
+        assert type(failure.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
     def test_scan_recovers_spectrum(self, h5_gray, h5_matrix):
         classical = np.linalg.eigvals(h5_matrix)
         config = VqaConfig(
@@ -467,6 +514,29 @@ class TestScanAggregate:
         assert hits >= 3  # scan line reaches most of the spectrum
         for est in found:
             assert est.multiplicity >= 1
+
+    def test_scan_workers_run_one_blas_thread(self):
+        # two workers on two CPUs, each with a spinning OpenBLAS thread on
+        # top, ran the one-hot scan slower than one process did
+        code = """
+import ctypes, json
+from csres.vqa import _start_scan_worker
+_start_scan_worker(None, None)
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "openblas" in line}
+names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+libs = [ctypes.CDLL(path) for path in paths]
+print(json.dumps([getattr(lib, n)() for lib in libs for n in names if hasattr(lib, n)]))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+                                  "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+        threads = json.loads(out.stdout)
+        if not threads:
+            pytest.skip("no OpenBLAS loaded, or no /proc/self/maps to find it by")
+        assert set(threads) == {1}
 
     def test_shot_scan_builds_the_cost_operator_once(self, h5_gray, monkeypatch):
         calls = {"pauli_multiply": 0, "compiled": 0}
