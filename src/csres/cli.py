@@ -355,8 +355,6 @@ def cmd_trajectory(config, args):
 
 
 def cmd_filter(config, args):
-    if not args.states:
-        raise ConfigError("filter needs --states FILE from spectrum-quantum")
     try:
         states, energies, n_qubits, encoding = artifacts.read_states_json(args.states)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -391,23 +389,28 @@ def cmd_filter(config, args):
 
 
 def build_parser():
+    """Each subcommand takes only the flags it reads; any other is a usage error (exit 2)."""
+    specs = {
+        "--config": dict(required=True, help="YAML run configuration"),
+        "--out": dict(default=None, help="output directory"),
+        "--seed": dict(type=int, default=None, help="override base seed"),
+        "--exact": dict(action="store_true", help="force exact expectations"),
+        "--states": dict(required=True, help="states JSON written by spectrum-quantum"),
+    }
     parser = argparse.ArgumentParser(
         prog="csres",
         description="Resonance poles of complex-scaled Hamiltonians, classical and variational",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("spectrum-classical", cmd_spectrum_classical),
-        ("spectrum-quantum", cmd_spectrum_quantum),
-        ("trajectory", cmd_trajectory),
-        ("filter", cmd_filter),
+    for name, fn, flags in (
+        ("spectrum-classical", cmd_spectrum_classical, ("--config", "--out")),
+        ("spectrum-quantum", cmd_spectrum_quantum, ("--config", "--out", "--seed", "--exact")),
+        ("trajectory", cmd_trajectory, ("--config", "--out", "--seed", "--exact")),
+        ("filter", cmd_filter, ("--config", "--out", "--seed", "--states")),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override base seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--exact", action="store_true", help="force exact expectations")
-        p.add_argument("--states", default=None, help="states JSON (filter command)")
+        for flag in flags:
+            p.add_argument(flag, **specs[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -286,49 +286,37 @@ class VarianceCost:
         r = self.residual(np.atleast_2d(states), energy)
         return np.einsum("ij,ij->i", r.conj(), r).real
 
-    def brackets_sampled(self, states, shots, rng=None, frozen=None):
+    def brackets_sampled(self, states, shots, frozen):
         """Shot-sampled (<H+H>, <H>) for a batch of states (rows).
 
         One pass computes the exact mean of every string of either sum; the
         shot model (:func:`shot_estimate`) then samples each sum from its
-        own rows.  With ``rng``, every Pauli string draws fresh independent
-        binomial shots, <H+H> first.  With ``frozen`` (the pair from
-        :meth:`frozen_noise`), the same noise realisation is reused for
-        every evaluation, so one optimisation run stays on a single
-        deterministic sampled surface while the run-to-run spread still
-        carries the full shot noise.
+        own rows on ``frozen``, the pair from :meth:`frozen_noise`: the same
+        noise realisation for every evaluation, so one optimisation run
+        stays on a single deterministic sampled surface while the
+        run-to-run spread still carries the full shot noise.
         """
         comp = self._compiled
         ms = comp.term_expectations(np.atleast_2d(np.asarray(states)).T)
-        zs = (None, None) if frozen is None else frozen
-        e1, t1 = (shot_estimate(ms[share.rows], share.coeffs, share.is_identity, shots,
-                                rng=rng, frozen=z)
-                  for share, z in zip(comp.shares, zs))
+        e1, t1 = (shot_estimate(ms[share.rows], share.coeffs, share.is_identity, shots, frozen=z)
+                  for share, z in zip(comp.shares, frozen))
         return np.real(e1), t1
 
     def frozen_noise(self, rng):
         """One standard-normal variate per Pauli string of <H+H> and <H>."""
         return tuple(rng.standard_normal(len(share.rows)) for share in self._compiled.shares)
 
-    @staticmethod
-    def combine(e1, t1, energy):
-        return e1 - 2.0 * np.real(np.conj(energy) * t1) + abs(energy) ** 2
-
 
 def _variance_cost(h):
     return h if isinstance(h, VarianceCost) else VarianceCost(h)
 
 
-def cost(params: AnsatzParams, energy, h_sum: PauliSum, shots=None, seed=None):
-    """Energy-parameterised variance cost for a single evaluation."""
+def cost(params: AnsatzParams, energy, h_sum: PauliSum):
+    """The exact variance cost |(M - E) psi|^2 of the ansatz state, one evaluation."""
     if params.n_qubits != h_sum.n_qubits:
         raise ValueError("ansatz register size mismatch")
-    vc = _variance_cost(h_sum)
     states = _ansatz_states(params.to_vector(), params.n_qubits, params.p)
-    if shots is None:
-        return float(vc.exact(states, energy)[0])
-    e1, t1 = vc.brackets_sampled(states, shots, np.random.default_rng(seed))
-    return float(VarianceCost.combine(e1[0], t1[0], complex(energy)))
+    return float(_variance_cost(h_sum).exact(states, energy)[0])
 
 
 def _make_objective(vc, config, frozen):
@@ -347,10 +335,10 @@ def _make_objective(vc, config, frozen):
         # quadratic in E, with E-gradient 2(E - <H>) at psi.
         t = _ansatz_states(x[:-2], n, p, tangent=True)
         centre, shift = np.cos(step) * t[:1], np.sin(step) * t[1:]
-        e1, t1 = vc.brackets_sampled(np.vstack([t[:1], centre + shift, centre - shift]), shots,
-                                     frozen=frozen)
+        states = np.vstack([t[:1], centre + shift, centre - shift])
+        e1, t1 = vc.brackets_sampled(states, shots, frozen)
         e = complex(x[-2], x[-1])
-        costs = VarianceCost.combine(e1, t1, e)
+        costs = e1 - 2.0 * np.real(np.conj(e) * t1) + abs(e) ** 2
         c_plus, c_minus = np.split(costs[1:], 2)
         g_e = 2.0 * (e - t1[0])
         return float(costs[0]), np.concatenate([(c_plus - c_minus) / (2.0 * step),

@@ -177,6 +177,42 @@ class TestConfigValidation:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("spectrum-classical", ["--seed", "3"], "--seed"),
+    ("spectrum-classical", ["--exact"], "--exact"),
+    ("spectrum-classical", ["--states", "STATES"], "--states"),
+    ("spectrum-quantum", ["--states", "STATES"], "--states"),
+    ("trajectory", ["--states", "STATES"], "--states"),
+    ("filter", ["--exact", "--states", "STATES"], "--exact"),
+    ("filter", [], "--states"),
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flags,
+                                                        named):
+    # the config and states file are valid for every command: only the flag is wrong
+    out = tmp_path / "out"
+    cfg = write_yaml(tmp_path / "c.yaml", {
+        "model": {"kind": "schematic"},
+        "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+        "theta": {"value": 24.0},
+        "neighborhood": {"center_re": 1.56, "center_im": 0.55, "radius": 0.5},
+        "encoding": "onehot_jw",
+        "ansatz": {"p": 2},
+        "shots": 1024,
+        "scan": {"e_start_re": -1.0, "e_start_im": -0.01, "step": 0.8, "repetitions": 2},
+        "out_dir": str(out),
+    })
+    states = tmp_path / "states.json"
+    amps = [[1.0 if k == 1 else 0.0, 0.0] for k in range(16)]
+    states.write_text(json.dumps({"n_qubits": 4, "encoding": "onehot_jw",
+                                  "states": [{"E_re": 1.0, "E_im": -0.01, "amplitudes": amps}]}))
+    argv = [command, "--config", cfg] + [str(states) if f == "STATES" else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSpectrumClassical:
     def test_writes_spectrum_with_labels(self, tmp_path, capsys):
         doc = {

@@ -26,6 +26,8 @@ from csres import (
     cost,
     encode_gray,
     encode_onehot_jw,
+    expectation_sum,
+    hermitianize,
     minimize_variance,
     pauli_decompose,
     pauli_multiply,
@@ -142,18 +144,15 @@ class TestCost:
             assert cost(params, e, h5_gray) == pytest.approx(
                 dense_cost(h_dense, psi, e), abs=1e-10
             )
+            # the README's sampled evaluation, without shots, is the same cost
+            assert expectation_sum(psi, hermitianize(h5_gray, e)).real == pytest.approx(
+                cost(params, e, h5_gray), abs=1e-10)
 
     def test_nonnegative(self, rng, h5_gray):
         for _ in range(10):
             params = AnsatzParams.random(rng, 3, 3, scale=1.5)
             e = complex(rng.normal(scale=2), rng.normal(scale=2))
             assert cost(params, e, h5_gray) > -1e-10
-
-    def test_shot_mode_reproducible(self, h5_gray, rng):
-        params = AnsatzParams.random(rng, 3, 3)
-        a = cost(params, 1.0 - 0.1j, h5_gray, shots=256, seed=5)
-        b = cost(params, 1.0 - 0.1j, h5_gray, shots=256, seed=5)
-        assert a == b
 
 
 class TestCEnergy:
@@ -253,7 +252,8 @@ class TestGradient:
             x = np.concatenate([rng.uniform(-0.8, 0.8, 2 * (3 * 3 - 1)), rng.normal(size=2)])
             psi = _ansatz_states(x[:-2], 3, 2)
             e1, t1 = vc.brackets_sampled(psi, config.shots, frozen=frozen)
-            oracle = VarianceCost.combine(e1[0], t1[0], complex(x[-2], x[-1]))
+            e = complex(x[-2], x[-1])
+            oracle = e1[0] - 2.0 * np.real(np.conj(e) * t1[0]) + abs(e) ** 2
             assert abs(fun_and_grad(x)[0] - oracle) < 1e-12
 
     def test_cost_is_exact_paraboloid_in_energy(self, rng, h5_gray):
