@@ -329,10 +329,14 @@ def cmd_trajectory(config, args):
     bins = _number(config, "bins", int, 25, minimum=1)
     vqa = None
     if engine == QUANTUM:
-        vqa = _vqa_from(config, args.seed, args.exact)
+        if config.get("shots") is not None:
+            raise ConfigError("shots: a quantum trajectory runs on exact expectations")
+        vqa = _vqa_from(config, args.seed)
         _check_register(basis, vqa)
         if config.get("cost_tol") is None:  # finite-depth ansatz floor, see README
             vqa = replace(vqa, cost_tol_rel=1e-5)
+    elif args.seed is not None:
+        raise ConfigError("--seed applies to engine: quantum only")
     out = _out_dir(config, args)
     traj = run_trajectory(
         basis, model, thetas, center, radius, engine=engine, vqa_config=vqa,
@@ -388,6 +392,11 @@ def cmd_filter(config, args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 with the JSON line, like any other
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
     """Each subcommand takes only the flags it reads; any other is a usage error (exit 2)."""
     specs = {
@@ -397,7 +406,7 @@ def build_parser():
         "--exact": dict(action="store_true", help="force exact expectations"),
         "--states": dict(required=True, help="states JSON written by spectrum-quantum"),
     }
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csres",
         description="Resonance poles of complex-scaled Hamiltonians, classical and variational",
     )
@@ -405,7 +414,7 @@ def build_parser():
     for name, fn, flags in (
         ("spectrum-classical", cmd_spectrum_classical, ("--config", "--out")),
         ("spectrum-quantum", cmd_spectrum_quantum, ("--config", "--out", "--seed", "--exact")),
-        ("trajectory", cmd_trajectory, ("--config", "--out", "--seed", "--exact")),
+        ("trajectory", cmd_trajectory, ("--config", "--out", "--seed")),
         ("filter", cmd_filter, ("--config", "--out", "--seed", "--states")),
     ):
         p = sub.add_parser(name)
@@ -416,8 +425,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
         return args.func(config, args)
     except ConfigError as exc:

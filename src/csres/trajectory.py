@@ -89,20 +89,19 @@ def run_trajectory(
     and shared: another trajectory on the same grid (say, another
     ``center``) assembles and diagonalises nothing.
 
-    Quantum engine: continue from the last accepted eigenpair.  The
-    variational solver starts from its circuit parameters and energy, so
-    it skips its fixed-E warm-up (the state already sits in the
-    resonance's basin).  If that warm start does not converge or lands
-    outside the neighbourhood, the failure is logged (``logging`` at INFO)
-    and up to ``attempts`` seeded restarts from ``vqa_config.init_energy``
-    with random parameters, each with its warm-up, follow; the first
-    theta, and every theta before a point is accepted, goes straight to
-    the restarts.  The warm start does
-    not count toward ``attempts``.  Every run draws its seed from one
-    per-theta scheme, ``base_seed + 1000 * round(2 theta) + k``, with
-    ``k = 0 .. attempts - 1`` for the restarts and ``k = attempts`` for the
-    warm start, so in shot mode each theta gets its own frozen noise.  The
-    runs of one theta share one :class:`VarianceCost`.
+    Quantum engine, on exact expectations (a ``vqa_config`` with ``shots``
+    is a ValueError): continue from the last accepted eigenpair.  The
+    variational solver starts from its circuit parameters and energy, so it
+    skips its fixed-E warm-up (the state already sits in the resonance's
+    basin).  If that warm start does not converge or lands outside the
+    neighbourhood, the failure is logged (``logging`` at INFO) and up to
+    ``attempts`` seeded restarts from ``vqa_config.init_energy`` with
+    random parameters, each with its warm-up, follow; the first theta, and
+    every theta before a point is accepted, goes straight to the restarts.
+    The warm start does not count toward ``attempts``.  Every run draws its
+    seed from one per-theta scheme, ``base_seed + 1000 * round(2 theta) + k``,
+    with ``k = 0 .. attempts - 1`` for the restarts and ``k = attempts`` for
+    the warm start.  The runs of one theta share one :class:`VarianceCost`.
 
     Either way a point is accepted only inside the neighbourhood
     |E - center| <= radius; the per-theta log records how it was accepted
@@ -128,8 +127,8 @@ def run_trajectory(
                      f"nearest eigenvalue {pick:.4f} outside neighborhood")
                 )
     elif engine == QUANTUM:
-        if vqa_config is None:
-            raise ValueError("quantum engine needs a VqaConfig")
+        if vqa_config is None or vqa_config.shots is not None:
+            raise ValueError("quantum engine needs a VqaConfig with shots=None")
         last = None  # last accepted EigenpairEstimate
         for th in thetas:
             sh = build_scaled_matrix(basis, potential, th)

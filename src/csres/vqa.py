@@ -7,27 +7,26 @@ which vanishes exactly at a right eigenpair.  The circuit parameters and
 the complex energy are fitted jointly.  A run whose circuit parameters are
 drawn at random first takes a short warm-up with the energy frozen at its
 initial guess, which steers the state into the basin of the targeted
-eigenvector; a run started from given parameters skips it.  In exact mode
-the cost is ``|(M - E) psi|^2`` for the dense encoded matrix M, fitted by
-least squares in a trust region scaled by the Jacobian's column norms
-(Moré 1978), with one tangent sweep per evaluated point shared by the
-residual and the Jacobian; its ``J^T r`` and
-``J^T J`` are circuit brackets (parameter shift, Mitarai et al. 2018), so
-nothing but H is used.  Exact mode reports, and its settle rule reads, the
-c-product Rayleigh quotient ``E_c = psi^T M psi / psi^T psi`` of the state,
-whose error is quadratic in the state's; the cost it reports is the exact
-cost at the fitted E.  In shot mode BFGS runs on the sampled cost: each
-step is one evaluation, whose one compiled pass over the strings of H+H
-and H (``compiled(H+H, H)``, one share per sum) gives the cost at psi and
-its central-difference gradient.  One :class:`VarianceCost` per operator
-holds M and, in shot mode only, that pass.  The ansatz is evaluated as a
-sweep over commuting blocks, each diagonal in the computational or the
-Hadamard frame (:func:`_sweep_plan`), with the tangent states alongside.
-A spectrum scan's restarts are independent, so :func:`scan_spectrum` runs
-them in forked worker processes, one per CPU the process may run on, each
-with one BLAS thread; the results come back in restart order,
-bit-identical to a sequential run with one BLAS thread.  There is no
-option for it.
+eigenvector; a run started from given parameters (exact mode only) skips
+it.  In exact mode the cost is ``|(M - E) psi|^2`` for the dense encoded
+matrix M, fitted by least squares in a trust region scaled by the
+Jacobian's column norms (Moré 1978), with one tangent sweep per evaluated
+point shared by the residual and the Jacobian; its ``J^T r`` and ``J^T J``
+are circuit brackets (parameter shift, Mitarai et al. 2018), so nothing but
+H is used.  Exact mode reports, and its settle rule reads, the c-product
+Rayleigh quotient ``E_c = psi^T M psi / psi^T psi`` of the state, whose
+error is quadratic in the state's; its cost, and the convergence test, are
+taken at E_c.  In shot mode BFGS runs on the sampled cost: each step is one
+evaluation, whose one compiled pass over the strings of H+H and H
+(``compiled(H+H, H)``, one share per sum) gives the cost at psi and its
+central-difference gradient.  One :class:`VarianceCost` per operator holds
+M and, in shot mode only, that pass.  The ansatz is evaluated as a sweep
+over commuting blocks, each diagonal in the computational or the Hadamard
+frame (:func:`_sweep_plan`), with the tangent states alongside.  A spectrum
+scan's restarts are independent, so :func:`scan_spectrum` runs them in
+forked worker processes, one per CPU the process may run on, each with one
+BLAS thread; the results come back in restart order, bit-identical to a
+sequential run with one BLAS thread.  There is no option for it.
 """
 
 from __future__ import annotations
@@ -221,7 +220,8 @@ class EigenpairEstimate:
 
     ``energy``: in exact mode E_c of ``state`` (:meth:`VarianceCost.c_energy`),
     in shot mode the fitted E.  ``cost``: in exact mode the exact cost
-    ``|(M - E) psi|^2`` at the fitted E, in shot mode the sampled cost.
+    ``|(M - E_c) psi|^2``, on which ``converged`` is judged; in shot mode
+    the sampled cost.
     """
 
     energy: complex
@@ -348,41 +348,39 @@ def _make_objective(vc, config, frozen):
 
 
 def _fit_least_squares(vc, config, z0, e0, warmup, tol):
-    """Exact mode: (x, cost, evaluations) of the fit of (M - E) psi(zeta) = 0.
+    """Exact mode: (x, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
-    The residual is [Re; Im] of (M - E) psi, with Jacobian columns
-    (M - E) d_j psi, -psi and -i psi.  The residual takes psi from row 0 of
-    a tangent sweep (the plain sweep, bit for bit) and keeps the sweep; the
-    Jacobian at the same x, which trf asks for at each accepted x, reuses
-    it, so each evaluated point costs one sweep.  Both stages run trf with
-    ``LSQ_TRF``: a trust region scaled by the Jacobian's column norms (Moré,
-    LNM 630 (1978)), in which radians of zeta and MeV of E weigh alike; in
-    raw units the joint fit crawled on E long after its cost was under
-    ``tol``.  The fixed-E warm-up has a nonzero
-    residual by construction, so it stops at an ``ftol`` of
-    ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit stops
-    when the exact cost is already under the converged tolerance ``tol``
-    and the state's E_c (:meth:`VarianceCost.c_energy`) moved by less than
+    The residual is [Re; Im] of (M - E) psi, with Jacobian columns (M - E)
+    d_j psi, -psi and -i psi.  The residual takes psi from row 0 of a
+    tangent sweep (the plain sweep, bit for bit) and keeps the sweep; trf
+    asks for the Jacobian only at the x it has just evaluated, so the
+    Jacobian reuses that sweep and each evaluated point costs one sweep.
+    Both stages run trf with ``LSQ_TRF``: a trust region scaled by the
+    Jacobian's column norms (Moré, LNM 630 (1978)), in which radians of
+    zeta and MeV of E weigh alike; in raw units the joint fit crawled on E
+    long after its cost was under ``tol``.  The fixed-E warm-up has a
+    nonzero residual by construction, so it stops at an ``ftol`` of
+    ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit
+    stops when the exact cost at the fitted E is already under ``tol`` and
+    the state's E_c (:meth:`VarianceCost.c_energy`) moved by less than
     ``LSQ_ENERGY_RTOL * max(1, |E_c|)`` since the last accepted iteration;
     the cost guard keeps a stalled state far from an eigenvector from
     stopping it.  Either stage also stops on scipy's own tolerances or its
     evaluation budget.
     """
     n, p = vc.n_qubits, config.p
-    swept = None  # (x, tangent sweep) of the last residual
-    psi = None  # row 0 of the last Jacobian's tangent sweep
+    swept = psi = None  # the last residual's tangent sweep, and row 0 of the last Jacobian's
 
     def residual(x):
         nonlocal swept
-        swept = np.array(x), _ansatz_states(x[:-2], n, p, tangent=True)
-        r = vc.residual(swept[1][:1], complex(x[-2], x[-1]))[0]
+        swept = _ansatz_states(x[:-2], n, p, tangent=True)
+        r = vc.residual(swept[:1], complex(x[-2], x[-1]))[0]
         return np.concatenate([r.real, r.imag])
 
     def jacobian(x):
         nonlocal psi
-        t = swept[1] if np.array_equal(swept[0], x) else _ansatz_states(x[:-2], n, p, tangent=True)
-        psi = t[0]
-        jac = np.vstack([vc.residual(t[1:], complex(x[-2], x[-1])), -t[0], -1j * t[0]]).T
+        psi = swept[0]
+        jac = np.vstack([vc.residual(swept[1:], complex(x[-2], x[-1])), -psi, -1j * psi]).T
         return np.vstack([jac.real, jac.imag])
 
     last_e = None
@@ -406,23 +404,20 @@ def _fit_least_squares(vc, config, z0, e0, warmup, tol):
         z0, evaluations = warm.x, warm.nfev
     res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian,
                         max_nfev=config.maxiter, callback=stop_when_settled, **LSQ_TRF)
-    return res.x, 2.0 * res.cost, evaluations + res.nfev
+    return res.x, evaluations + res.nfev
 
 
-def _fit_bfgs(fun_and_grad, config, z0, e0, warmup):
-    """Shot mode: (x, sampled cost, BFGS iterations), any fixed-E warm-up first."""
-    iterations = 0
-    if warmup:
-        def warm_fun(z):
-            value, grad = fun_and_grad(np.concatenate([z, e0]))
-            return value, grad[:-2]
+def _fit_bfgs(fun_and_grad, config, z0, e0):
+    """Shot mode: (x, sampled cost, BFGS iterations), the fixed-E warm-up first."""
+    def warm_fun(z):
+        value, grad = fun_and_grad(np.concatenate([z, e0]))
+        return value, grad[:-2]
 
-        warm = minimize(warm_fun, z0, jac=True, method="BFGS",
-                        options=dict(gtol=BFGS_WARMUP_GTOL, maxiter=config.warmup_maxiter))
-        z0, iterations = warm.x, warm.nit
-    res = minimize(fun_and_grad, np.concatenate([z0, e0]), jac=True, method="BFGS",
+    warm = minimize(warm_fun, z0, jac=True, method="BFGS",
+                    options=dict(gtol=BFGS_WARMUP_GTOL, maxiter=config.warmup_maxiter))
+    res = minimize(fun_and_grad, np.concatenate([warm.x, e0]), jac=True, method="BFGS",
                    options=dict(gtol=BFGS_GTOL, maxiter=config.maxiter))
-    return res.x, float(res.fun), iterations + res.nit
+    return res.x, float(res.fun), warm.nit + res.nit
 
 
 def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
@@ -437,19 +432,21 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     ``iterations`` counting cost evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise
     realisation, with central-difference gradients.  Either run is judged
-    converged on the exact cost of its final state at the fitted E; exact
-    mode reports that state's E_c as the energy.
+    converged on the exact cost of its final state at the energy it
+    reports: in exact mode that state's E_c, in shot mode the fitted E.
 
-    The circuit parameters start from ``init_params`` when given (e.g. the
-    solution at a neighbouring rotation angle), else from a uniform draw of
-    half-width ``INIT_SCALE`` seeded by ``seed``; in shot mode the seed
-    also fixes the frozen noise realisation.  A random start first takes a
-    warm-up of at most ``warmup_maxiter`` with the energy frozen at its
-    initial guess, which steers the state into the basin of the targeted
-    eigenvector; a given start already sits in its basin and skips it.
-    Never raises on non-convergence: the estimate reports
-    ``converged=False`` and the caller filters.
+    The circuit parameters start from ``init_params`` when given (exact
+    mode only), else from a uniform draw of half-width ``INIT_SCALE``
+    seeded by ``seed``; in shot mode the seed also fixes the frozen noise
+    realisation.  A random start first takes a warm-up of at most
+    ``warmup_maxiter`` with the energy frozen at its initial guess, which
+    steers the state into the basin of the targeted eigenvector; a given
+    start (say, the solution at a neighbouring angle) already sits in its
+    basin and skips it.  Never raises on non-convergence: the estimate
+    reports ``converged=False`` and the caller filters.
     """
+    if config.shots is not None and init_params is not None:
+        raise ValueError("init_params needs exact expectations (shots=None)")
     vc = _variance_cost(h)
     if seed is None:
         seed = config.base_seed
@@ -466,17 +463,20 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
     z0, e0 = init_params.to_vector(), np.array([init_e.real, init_e.imag])
     if config.shots is None:
         tol = config.cost_tol if config.cost_tol_rel is None else config.cost_tol_rel * vc.hs_norm2
-        x, final_cost, iterations = _fit_least_squares(vc, config, z0, e0, warmup, tol)
+        x, iterations = _fit_least_squares(vc, config, z0, e0, warmup, tol)
     else:
-        x, final_cost, iterations = _fit_bfgs(fun_and_grad, config, z0, e0, warmup)
+        x, final_cost, iterations = _fit_bfgs(fun_and_grad, config, z0, e0)
         tol = config.shot_tol_scale * vc.hs_norm2
     zeta, final_e = x[:-2], complex(x[-2], x[-1])
     state = _ansatz_states(zeta, n, config.p)[0]
+    if config.shots is None:  # judged at the energy it reports
+        final_e = vc.c_energy(state, final_e)
+    exact_cost = float(vc.exact(state, final_e)[0])
     return EigenpairEstimate(
-        energy=final_e if config.shots is not None else vc.c_energy(state, final_e),
+        energy=final_e,
         params=AnsatzParams.from_vector(zeta, n, config.p),
-        cost=final_cost,
-        converged=bool(vc.exact(state, final_e)[0] < tol),
+        cost=exact_cost if config.shots is None else final_cost,
+        converged=bool(exact_cost < tol),
         iterations=int(iterations),
         seed=int(seed),
         init_energy=init_e,

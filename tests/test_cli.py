@@ -185,12 +185,17 @@ class TestConfigValidation:
     ("trajectory", ["--states", "STATES"], "--states"),
     ("filter", ["--exact", "--states", "STATES"], "--exact"),
     ("filter", [], "--states"),
+    # a trajectory runs on exact expectations, and a classical one draws no seed
+    ("trajectory", ["--exact"], "--exact"),
+    ("trajectory", ["--seed", "3"], "--seed"),
+    ("trajectory", ["--config", "QUANTUM"], "shots"),
 ])
 def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flags,
                                                         named):
     # the config and states file are valid for every command: only the flag is wrong
+    # (the last --config wins: QUANTUM is the same config with engine: quantum)
     out = tmp_path / "out"
-    cfg = write_yaml(tmp_path / "c.yaml", {
+    doc = {
         "model": {"kind": "schematic"},
         "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
         "theta": {"value": 24.0},
@@ -200,16 +205,18 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, comma
         "shots": 1024,
         "scan": {"e_start_re": -1.0, "e_start_im": -0.01, "step": 0.8, "repetitions": 2},
         "out_dir": str(out),
-    })
-    states = tmp_path / "states.json"
+    }
+    files = {"STATES": tmp_path / "states.json",
+             "QUANTUM": write_yaml(tmp_path / "q.yaml", {**doc, "engine": "quantum"})}
     amps = [[1.0 if k == 1 else 0.0, 0.0] for k in range(16)]
-    states.write_text(json.dumps({"n_qubits": 4, "encoding": "onehot_jw",
-                                  "states": [{"E_re": 1.0, "E_im": -0.01, "amplitudes": amps}]}))
-    argv = [command, "--config", cfg] + [str(states) if f == "STATES" else f for f in flags]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
+    files["STATES"].write_text(json.dumps({"n_qubits": 4, "encoding": "onehot_jw", "states": [
+        {"E_re": 1.0, "E_im": -0.01, "amplitudes": amps}]}))
+    argv = [command, "--config", write_yaml(tmp_path / "c.yaml", doc)]
+    assert main(argv + [str(files.get(f, f)) for f in flags]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)
+    assert message["error"] == "config" and named in message["message"]
     assert not out.exists()
 
 

@@ -238,6 +238,13 @@ def n4_quantum_trajectory(model):
 
 
 class TestQuantumContinuation:
+    def test_shot_mode_trajectory_is_refused(self, schematic):
+        # a trajectory's points are statevector runs; frozen noise per theta is not
+        cfg = VqaConfig(p=2, init_energy=1.15 - 0.0j, shots=1024)
+        with pytest.raises(ValueError, match="shots"):
+            run_trajectory(N4_BASIS, schematic, N4_THETAS, 1.2 - 0.0j, 0.3,
+                           engine="quantum", vqa_config=cfg)
+
     def test_warm_start_follows_resonance_deterministically(self, schematic):
         traj = n4_quantum_trajectory(schematic)
         assert [r for _, ok, r in traj.log] == (

@@ -425,8 +425,30 @@ class TestMinimize:
         config = VqaConfig(p=1, shots=shots, maxiter=5, warmup_maxiter=5)
         start = minimize_variance(h5_gray, config, seed=3)
         assert len(calls) == 2  # fixed-E warm-up, then the joint fit
-        minimize_variance(h5_gray, config, seed=3, init_params=start.params)
-        assert len(calls) == 3  # the joint fit alone
+        if shots is None:  # a given start is exact mode's alone
+            minimize_variance(h5_gray, config, seed=3, init_params=start.params)
+            assert len(calls) == 3  # the joint fit alone
+
+    def test_shot_mode_takes_no_given_start(self, h5_gray):
+        # a warm start on frozen noise has no caller: a trajectory runs exactly
+        start = minimize_variance(h5_gray, VqaConfig(p=1, maxiter=5, warmup_maxiter=5), seed=3)
+        with pytest.raises(ValueError, match="init_params"):
+            minimize_variance(h5_gray, VqaConfig(p=1, shots=256), init_params=start.params)
+
+    def test_converged_is_judged_at_the_reported_energy(self):
+        # criterion 09's D-wave cold start at theta = 34 deg: seed 21 ends nearly
+        # self-orthogonal, its E_c 0.151 from every eigenvalue, at cost 0.018 at
+        # the fitted E but 1.31 at E_c, against a tolerance of 0.165
+        h = build_scaled_matrix(RadialBasisSpec.ho(16, 2, 1.36), PotentialModel.alpha_alpha(),
+                                34.0).matrix
+        lam = np.linalg.eigvals(h)
+        vc = VarianceCost(encode_gray(h))
+        config = VqaConfig(p=4, init_energy=2.9 - 0.01j, maxiter=300, warmup_maxiter=120,
+                           cost_tol_rel=1e-5)
+        for seed in (21, 68021, 68022):  # 68021, 68022: criterion 09's restarts there
+            est = minimize_variance(vc, config, seed=seed)
+            assert est.cost == vc.exact(est.state, est.energy)[0]
+            assert est.converged == (np.abs(lam - est.energy).min() < 1e-3) == (seed != 21)
 
     @pytest.mark.parametrize("k", range(16))
     def test_scan_run_robust_to_last_bits(self, k):
