@@ -61,6 +61,8 @@ _SCHEMA = {
     "out_dir": None,
 }
 
+# keys only a quantum trajectory reads; a classical one with any of them exits 2
+_QUANTUM_ONLY = ("shots", "encoding", "cost_tol", "ansatz", "scan", "runs", "attempts")
 MAX_THETA_POINTS = 10_000  # a theta grid longer than this is a config error
 MAX_QUBITS = 12  # the dense encoded matrix of 12 qubits takes 256 MiB
 # basis.n times the nodes of the node-doubled quadrature grid; 3.5 M values
@@ -335,8 +337,10 @@ def cmd_trajectory(config, args):
         _check_register(basis, vqa)
         if config.get("cost_tol") is None:  # finite-depth ansatz floor, see README
             vqa = replace(vqa, cost_tol_rel=1e-5)
-    elif args.seed is not None:
-        raise ConfigError("--seed applies to engine: quantum only")
+    else:
+        for key, value in [("--seed", args.seed)] + [(k, config.get(k)) for k in _QUANTUM_ONLY]:
+            if value is not None:
+                raise ConfigError(f"{key} applies to engine: quantum only")
     out = _out_dir(config, args)
     traj = run_trajectory(
         basis, model, thetas, center, radius, engine=engine, vqa_config=vqa,

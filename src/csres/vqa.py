@@ -9,17 +9,18 @@ drawn at random first takes a short warm-up with the energy frozen at its
 initial guess, which steers the state into the basin of the targeted
 eigenvector; a run started from given parameters (exact mode only) skips
 it.  In exact mode the cost is ``|(M - E) psi|^2`` for the dense encoded
-matrix M, fitted by least squares in a trust region scaled by the
-Jacobian's column norms (Moré 1978), with one tangent sweep per evaluated
-point shared by the residual and the Jacobian; its ``J^T r`` and ``J^T J``
-are circuit brackets (parameter shift, Mitarai et al. 2018), so nothing but
-H is used.  Exact mode reports, and its settle rule reads, the c-product
-Rayleigh quotient ``E_c = psi^T M psi / psi^T psi`` of the state, whose
-error is quadratic in the state's; its cost, and the convergence test, are
-taken at E_c.  In shot mode BFGS runs on the sampled cost: each step is one
-evaluation, whose one compiled pass over the strings of H+H and H
-(``compiled(H+H, H)``, one share per sum) gives the cost at psi and its
-central-difference gradient.  One :class:`VarianceCost` per operator holds
+matrix M, fitted by a Levenberg-Marquardt loop on the normal equations
+with Marquardt's scaling (:func:`_levenberg_marquardt`), with one tangent
+sweep per evaluated point shared by the residual and the Jacobian; its
+``J^T r`` and ``J^T J`` are circuit brackets (parameter shift, Mitarai et
+al. 2018), so nothing but H is used.  Exact mode reports, and its settle
+rule reads, the c-product Rayleigh quotient ``E_c = psi^T M psi / psi^T
+psi`` of the state, whose error is quadratic in the state's; its cost, and
+the convergence test, are taken at E_c.  In shot mode BFGS runs on the
+sampled cost, which is not a sum of squares: each step is one evaluation,
+whose one compiled pass over the strings of H+H and H (``compiled(H+H,
+H)``, one share per sum) gives the cost at psi and its central-difference
+gradient.  One :class:`VarianceCost` per operator holds
 M and, in shot mode only, that pass.  The ansatz is evaluated as a sweep
 over commuting blocks, each diagonal in the computational or the Hadamard
 frame (:func:`_sweep_plan`), with the tangent states alongside.  A spectrum
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import minimize
 
 from .encoding import PauliSum, encode_gray, encode_onehot_jw, parity_signs, pauli_multiply
 from .simulator import Circuit, compiled, shot_estimate
@@ -54,8 +55,6 @@ BFGS_WARMUP_GTOL = 1e-6
 LSQ_WARMUP_FTOL = 1e-2
 LSQ_ENERGY_RTOL = 1e-7
 C_NORM_MIN = 1e-8  # below this |psi^T psi| / |psi|^2, E_c falls back to the fitted E
-# both exact-mode stages: trf with the Jacobian's column norms as variable scales
-LSQ_TRF = dict(method="trf", x_scale="jac")
 
 
 def encode_matrix(h, scheme):
@@ -347,64 +346,103 @@ def _make_objective(vc, config, frozen):
     return fun_and_grad
 
 
+def _levenberg_marquardt(evaluate, jacobian, x, max_nfev, stop):
+    """(x, evaluations): Levenberg-Marquardt on |r(x)|^2 through the normal equations.
+
+    ``evaluate(x)`` returns ``(r, aux)``, and ``jacobian(x, aux)`` gives J
+    at an accepted x from the ``aux`` of its own evaluation, so J costs no
+    second evaluation.  The step solves (J^T J + mu D) h = -J^T r, with D
+    the running maximum of diag(J^T J): Marquardt's scaling, under which
+    the variables' units do not matter (Moré, LNM 630 (1978)).  mu starts
+    at 1e-3 max diag(J^T J) and follows Nielsen's gain-ratio update
+    (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least Squares
+    Problems*, DTU 2004).  A step is taken only if it lowers |r|^2, so the
+    x returned is never worse than the start.  After each step taken,
+    ``stop(x, aux, f, f_old)`` may end the loop (f = |r|^2).  It also ends
+    at |J^T r|_inf < 1e-8 max(1, f), after a step below 1e-8 |x| (taken if
+    it lowers |r|^2), or once ``max_nfev`` points have been evaluated.
+    """
+    r, aux = evaluate(x)
+    f, evaluations, nu, scale = r @ r, 1, 2.0, None
+    while True:
+        jac = jacobian(x, aux)
+        a, g = jac.T @ jac, jac.T @ r
+        diag = np.diag(a)
+        if scale is None:  # a zero column gets scale 1, as in MINPACK
+            scale, mu = np.where(diag > 0.0, diag, 1.0), 1e-3 * diag.max()
+        scale = np.maximum(scale, diag)
+        if np.abs(g).max() < 1e-8 * max(1.0, f):
+            return x, evaluations
+        while True:  # until a step lowers |r|^2
+            if evaluations >= max_nfev:
+                return x, evaluations
+            h = np.linalg.solve(a + np.diag(mu * scale), -g)
+            x_new = x + h
+            r_new, aux_new = evaluate(x_new)
+            evaluations += 1
+            f_new = r_new @ r_new
+            decrease, predicted = f - f_new, h @ (mu * scale * h - g)
+            tiny = np.linalg.norm(h) < 1e-8 * np.linalg.norm(x)
+            if decrease > 0.0 and predicted > 0.0:
+                break
+            if tiny:
+                return x, evaluations
+            mu, nu = mu * nu, 2.0 * nu
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3), 2.0
+        x, r, aux, f, f_old = x_new, r_new, aux_new, f_new, f
+        if stop(x, aux, f, f_old) or tiny:
+            return x, evaluations
+
+
 def _fit_least_squares(vc, config, z0, e0, warmup, tol):
     """Exact mode: (x, evaluations) of the fit of (M - E) psi(zeta) = 0.
 
     The residual is [Re; Im] of (M - E) psi, with Jacobian columns (M - E)
     d_j psi, -psi and -i psi.  The residual takes psi from row 0 of a
-    tangent sweep (the plain sweep, bit for bit) and keeps the sweep; trf
-    asks for the Jacobian only at the x it has just evaluated, so the
-    Jacobian reuses that sweep and each evaluated point costs one sweep.
-    Both stages run trf with ``LSQ_TRF``: a trust region scaled by the
-    Jacobian's column norms (Moré, LNM 630 (1978)), in which radians of
-    zeta and MeV of E weigh alike; in raw units the joint fit crawled on E
-    long after its cost was under ``tol``.  The fixed-E warm-up has a
-    nonzero residual by construction, so it stops at an ``ftol`` of
-    ``LSQ_WARMUP_FTOL``: it only has to pick the basin.  The joint fit
-    stops when the exact cost at the fitted E is already under ``tol`` and
-    the state's E_c (:meth:`VarianceCost.c_energy`) moved by less than
-    ``LSQ_ENERGY_RTOL * max(1, |E_c|)`` since the last accepted iteration;
-    the cost guard keeps a stalled state far from an eigenvector from
-    stopping it.  Either stage also stops on scipy's own tolerances or its
-    evaluation budget.
+    tangent sweep (the plain sweep, bit for bit) and keeps the sweep, from
+    which the Jacobian at an accepted x is built: each evaluated point
+    costs one sweep.  Both stages run :func:`_levenberg_marquardt`, whose
+    scaling makes radians of zeta and MeV of E weigh alike; in raw units
+    the joint fit crawled on E long after its cost was under ``tol``.  The
+    fixed-E warm-up has a nonzero residual by construction, so it stops
+    once a step lowers the cost by less than ``LSQ_WARMUP_FTOL`` of itself:
+    it only has to pick the basin.  The joint fit stops when the exact cost
+    at the fitted E is already under ``tol`` and the state's E_c
+    (:meth:`VarianceCost.c_energy`) moved by less than ``LSQ_ENERGY_RTOL *
+    max(1, |E_c|)`` since the last accepted step; the cost guard keeps a
+    stalled state far from an eigenvector from stopping it.  Either stage
+    also stops on the loop's own gradient, step and evaluation limits.
     """
     n, p = vc.n_qubits, config.p
-    swept = psi = None  # the last residual's tangent sweep, and row 0 of the last Jacobian's
 
-    def residual(x):
-        nonlocal swept
+    def evaluate(x):  # x = [zeta..., E_r, E_i]
         swept = _ansatz_states(x[:-2], n, p, tangent=True)
         r = vc.residual(swept[:1], complex(x[-2], x[-1]))[0]
-        return np.concatenate([r.real, r.imag])
+        return np.concatenate([r.real, r.imag]), swept
 
-    def jacobian(x):
-        nonlocal psi
+    def jacobian(x, swept):
         psi = swept[0]
         jac = np.vstack([vc.residual(swept[1:], complex(x[-2], x[-1])), -psi, -1j * psi]).T
         return np.vstack([jac.real, jac.imag])
 
     last_e = None
 
-    def stop_when_settled(intermediate_result):
-        # trf evaluates the Jacobian at each accepted x just before this
-        # call, so psi is the state of intermediate_result.x
+    def settled(x, swept, f, f_old):
         nonlocal last_e
-        e = vc.c_energy(psi, complex(*intermediate_result.x[-2:]))
-        settled = (last_e is not None and 2.0 * intermediate_result.cost < tol
-                   and abs(e - last_e) < LSQ_ENERGY_RTOL * max(1.0, abs(e)))
+        e, previous = vc.c_energy(swept[0], complex(x[-2], x[-1])), last_e
         last_e = e
-        if settled:
-            raise StopIteration
+        return (previous is not None and f < tol
+                and abs(e - previous) < LSQ_ENERGY_RTOL * max(1.0, abs(e)))
 
     evaluations = 0
     if warmup:
-        warm = least_squares(lambda z: residual(np.concatenate([z, e0])), z0,
-                             jac=lambda z: jacobian(np.concatenate([z, e0]))[:, :-2],
-                             ftol=LSQ_WARMUP_FTOL, max_nfev=config.warmup_maxiter, **LSQ_TRF)
-        z0, evaluations = warm.x, warm.nfev
-    res = least_squares(residual, np.concatenate([z0, e0]), jac=jacobian,
-                        max_nfev=config.maxiter, callback=stop_when_settled, **LSQ_TRF)
-    return res.x, evaluations + res.nfev
+        z0, evaluations = _levenberg_marquardt(
+            lambda z: evaluate(np.concatenate([z, e0])),
+            lambda z, swept: jacobian(np.concatenate([z, e0]), swept)[:, :-2], z0,
+            config.warmup_maxiter, lambda z, swept, f, f_old: f_old - f < LSQ_WARMUP_FTOL * f_old)
+    x, joint = _levenberg_marquardt(evaluate, jacobian, np.concatenate([z0, e0]),
+                                    config.maxiter, settled)
+    return x, evaluations + joint
 
 
 def _fit_bfgs(fun_and_grad, config, z0, e0):
@@ -426,8 +464,8 @@ def minimize_variance(h, config: VqaConfig, init_energy=None, seed=None,
 
     ``h``: a :class:`PauliSum`, or the :class:`VarianceCost` that runs on
     one operator share.  The circuit parameters and the complex energy are
-    fitted jointly: in exact mode by least squares on the dense matrix,
-    each stage stopping once it has done its job (see
+    fitted jointly: in exact mode by Levenberg-Marquardt least squares on
+    the dense matrix, each stage stopping once it has done its job (see
     :func:`_fit_least_squares`), with ``maxiter``/``warmup_maxiter`` and
     ``iterations`` counting cost evaluations; in shot mode by BFGS on
     :class:`VarianceCost`'s brackets, sampled on one frozen noise

@@ -220,6 +220,25 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("shots", 1024), ("encoding", "onehot_jw"), ("cost_tol", 0.5), ("ansatz", {"p": 2}),
+    ("scan", {"e_start_re": 1.0}), ("runs", {"base_seed": 5}), ("attempts", 2),
+])
+@pytest.mark.parametrize("engine", [{}, {"engine": "classical"}])
+def test_classical_trajectory_refuses_quantum_keys(tmp_path, capsys, schematic_traj_config,
+                                                   key, value, engine):
+    # a classical trajectory reads none of these: it exits 2 naming the key
+    # before it makes any directory
+    doc = {**yaml.safe_load(Path(schematic_traj_config).read_text()), **engine, key: value}
+    cfg = write_yaml(tmp_path / "c.yaml", doc)
+    assert main(["trajectory", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)
+    assert message["error"] == "config" and message["message"].startswith(key)
+    assert not Path(doc["out_dir"]).exists()
+
+
 class TestSpectrumClassical:
     def test_writes_spectrum_with_labels(self, tmp_path, capsys):
         doc = {
