@@ -48,7 +48,7 @@ for r in range(8):
                     maxiter=400, warmup_maxiter=150,
                     shot_tol_scale=0.02, fd_step_shot=1e-3)
     per_run.append(scan_spectrum(hg, cfg))
-for cl in aggregate_spectra(per_run, radius=0.25):
+for cl in aggregate_spectra(per_run):
     med, mad = cl["median"], cl["mad"]
     print(f"    median {med.real:8.4f} {med.imag:+8.4f}i   "
           f"MAD ({mad[0]:.3f}, {mad[1]:.3f})   from {cl['n_members']} runs")

@@ -39,8 +39,7 @@ for init, reps, seed in ((-1.5 - 0.01j, 25, 31), (-1.0 - 1.3j, 20, 77),
 print(f"variational scan returned {len(estimates)} distinct eigenstates\n")
 
 report = filtration_report([e.state for e in estimates],
-                           [e.energy for e in estimates],
-                           n_r=3, shots=8192, seed=5)
+                           [e.energy for e in estimates], shots=8192, seed=5)
 
 words = report.words
 header = "  ".join(f"{w:>6}" for w in words)

@@ -31,7 +31,7 @@ from .hamiltonian import (
     solve_energies,
     solve_spectrum,
 )
-from .filtration import filtration_report, required_ancillas
+from .filtration import filtration_report
 from .trajectory import CLASSICAL, QUANTUM, extract_optimal, run_trajectory
 from .vqa import (
     GRAY,
@@ -43,6 +43,7 @@ from .vqa import (
     scan_spectrum,
 )
 
+# one key set for every subcommand: a config may carry the keys of every stage (README)
 _SCHEMA = {
     "model": {"kind", "v0", "k", "beta", "z1", "z2", "e2", "hbar2_over_2mu"},
     "basis": {"family", "n", "l", "r1", "r_max", "b"},
@@ -57,7 +58,6 @@ _SCHEMA = {
     "engine": None,
     "attempts": None,
     "cost_tol": None,
-    "aggregate_radius": None,
     "out_dir": None,
 }
 
@@ -299,14 +299,13 @@ def cmd_spectrum_quantum(config, args):
     vqa = _vqa_from(config, args.seed, args.exact)
     _check_register(basis, vqa)
     n_runs = _number(config, "runs.n_runs", int, 1, minimum=1)
-    radius = _positive(config, "aggregate_radius", 0.25)
     out = _out_dir(config, args)
     sh = build_scaled_matrix(basis, model, float(thetas[0]))
     vc = VarianceCost(encode_matrix(sh.matrix, vqa.encoding))  # one for every run
     classical = solve_energies(sh.matrix)
     per_run = [scan_spectrum(vc, replace(vqa, base_seed=vqa.base_seed + r * vqa.repetitions))
                for r in range(n_runs)]
-    clusters = aggregate_spectra(per_run, radius=radius)
+    clusters = aggregate_spectra(per_run)
     if not clusters:
         raise NumericalError("no variational run converged")
     artifacts.write_overlay_csv(out / "spectrum_overlay.csv", classical, clusters,
@@ -388,8 +387,7 @@ def cmd_filter(config, args):
             config, seed)
         print("filtration not applicable to Gray-code states")
         return 0
-    report = filtration_report(
-        states, energies, n_r=required_ancillas(n_qubits), shots=shots, seed=seed)
+    report = filtration_report(states, energies, shots=shots, seed=seed)
     artifacts.write_heatmap_csv(out / "heatmap.csv", report, config, seed)
     n_phys = sum(row.physical for row in report.rows)
     print(f"wrote {out / 'heatmap.csv'}: {n_phys}/{len(report.rows)} states physical")

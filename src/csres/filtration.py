@@ -5,7 +5,8 @@ The one-hot register conserves particle number; physical single-particle
 states live in the Hamming-weight-1 sector.  Phase estimation with
 ``U = exp(i 2 pi N / 2^{n_r})`` writes the weight of each component into
 ``n_r`` ancilla bits, so measuring the ancillas separates physical states
-(all counts on the weight-1 word) from redundant ones.
+(all counts on the weight-1 word) from redundant ones.  ``n_r`` follows
+from the state: the smallest register holding every weight of its qubits.
 """
 
 from __future__ import annotations
@@ -37,20 +38,17 @@ def required_ancillas(n_qubits: int) -> int:
     return max(1, int(np.ceil(np.log2(n_qubits + 1))))
 
 
-def qpe_ancilla_probabilities(state, n_r: int) -> np.ndarray:
+def qpe_ancilla_probabilities(state) -> np.ndarray:
     """Exact ancilla-word distribution of number-operator phase estimation.
 
     The evolution operator is diagonal, so the outcome distribution is the
     Hamming-weight decomposition of the input state: the probability of
-    ancilla word m equals the amplitude mass at weight m.
+    ancilla word m equals the amplitude mass at weight m, for the
+    ``2^n_r`` words of ``n_r = required_ancillas(n)`` ancillas.
     """
     psi = np.asarray(state, dtype=complex)
     n = int(np.log2(psi.size))
-    if n_r < required_ancillas(n):
-        raise ValueError(
-            f"n_r={n_r} cannot represent particle numbers up to {n}; "
-            f"need at least {required_ancillas(n)}"
-        )
+    n_r = required_ancillas(n)
     weights = np.bitwise_count(np.arange(psi.size))
     probs = np.zeros(2**n_r)
     mass = np.abs(psi) ** 2
@@ -59,14 +57,15 @@ def qpe_ancilla_probabilities(state, n_r: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def qpe_project(state, n_r: int, shots: int, seed=None) -> dict:
-    """Sampled ancilla counts (keys are n_r-bit words, MSB first).
+def qpe_project(state, shots: int, seed=None) -> dict:
+    """Sampled ancilla counts (keys are n_r-bit words, MSB first; n_r as above).
 
     ``seed`` may be a ``numpy.random.Generator``, which is drawn from as it is.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    probs = qpe_ancilla_probabilities(state, n_r)
+    probs = qpe_ancilla_probabilities(state)
+    n_r = int(np.log2(probs.size))
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     return {format(k, f"0{n_r}b"): int(c) for k, c in enumerate(draws) if c > 0}
 
@@ -83,17 +82,16 @@ def _inverse_qft(circ: Circuit, qubits):
         circ.h(qs[j])
 
 
-def qpe_project_circuit(state, n_r: int) -> np.ndarray:
+def qpe_project_circuit(state) -> np.ndarray:
     """Full-circuit phase estimation; validation path for the analytic shortcut.
 
-    Builds the (n + n_r)-qubit circuit: Hadamards on the ancillas,
-    controlled powers of the diagonal number-phase gate, inverse QFT,
-    then marginalises the ancilla register.
+    Builds the (n + n_r)-qubit circuit, ``n_r = required_ancillas(n)``:
+    Hadamards on the ancillas, controlled powers of the diagonal
+    number-phase gate, inverse QFT, then marginalises the ancilla register.
     """
     psi = np.asarray(state, dtype=complex)
     n = int(np.log2(psi.size))
-    if n_r < required_ancillas(n):
-        raise ValueError("ancilla register too small")
+    n_r = required_ancillas(n)
     total = n + n_r
     full = np.zeros(2**total, dtype=complex)
     full[: psi.size] = psi  # ancillas (qubits n..n+n_r-1) start in |0>
@@ -129,17 +127,17 @@ class FiltrationReport:
         return seen
 
 
-def filtration_report(states, energies, n_r=3, shots=8192, seed=0) -> FiltrationReport:
-    """Ancilla-count report for a batch of eigenstates.
+def filtration_report(states, energies, shots=8192, seed=0) -> FiltrationReport:
+    """Ancilla-count report for a batch of eigenstates, each on the ancillas it needs.
 
     A state is labelled physical when at least 99 percent of its counts
-    land on the weight-1 word (``"001"`` for three ancillas).
+    land on the weight-1 word (``"001"`` for three ancillas, 4-7 qubits).
     """
     rng = np.random.default_rng(seed)
-    weight1 = format(1, f"0{n_r}b")
     rows = []
     for state, energy in zip(states, energies):
-        counts = qpe_project(state, n_r, shots, seed=rng)
+        counts = qpe_project(state, shots, seed=rng)
+        weight1 = format(1, f"0{required_ancillas(int(np.log2(len(state))))}b")
         total = sum(counts.values())
         perc = {w: 100.0 * c / total for w, c in counts.items()}
         rows.append(

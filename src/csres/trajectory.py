@@ -82,12 +82,12 @@ def run_trajectory(
 ) -> ThetaTrajectory:
     """Follow one resonance across the theta grid.
 
-    Classical engine: solve the generalised eigenproblem at each theta
-    (eigenvalues only) and continue from the eigenvalue nearest the
-    previously accepted point (first point: nearest the center).  The
-    spectra of the last (basis, potential, theta grid) are kept, read-only,
-    and shared: another trajectory on the same grid (say, another
-    ``center``) assembles and diagonalises nothing.
+    Classical engine (a ``vqa_config`` is a ValueError): solve the
+    generalised eigenproblem at each theta (eigenvalues only) and continue
+    from the eigenvalue nearest the previously accepted point (first point:
+    nearest the center).  The spectra of the last (basis, potential, theta
+    grid) are kept, read-only, and shared: another trajectory on the same
+    grid (say, another ``center``) assembles and diagonalises nothing.
 
     Quantum engine, on exact expectations (a ``vqa_config`` with ``shots``
     is a ValueError): continue from the last accepted eigenpair.  The
@@ -113,6 +113,8 @@ def run_trajectory(
     center = complex(center)
     points, log = [], []
     if engine == CLASSICAL:
+        if vqa_config is not None:
+            raise ValueError("the classical engine takes no VqaConfig")
         prev = center
         spectra = _classical_spectra(basis, potential, tuple(thetas.tolist()))
         for th, energies in zip(thetas, spectra):

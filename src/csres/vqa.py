@@ -47,6 +47,7 @@ GRAY = "gray"
 
 INIT_SCALE = 0.1  # half-width of the uniform draw of the initial zeta
 CLUSTER_RADIUS = 0.05  # scan_spectrum merges converged energies this close
+AGGREGATE_RADIUS = 0.25  # aggregate_spectra merges converged energies across runs this close
 BFGS_GTOL = 1e-8
 BFGS_WARMUP_GTOL = 1e-6
 # exact-mode stopping rules: the warm-up only has to pick the basin; the
@@ -96,16 +97,15 @@ class AnsatzParams:
         return np.concatenate([np.concatenate(layer) for layer in self.layers])
 
 
-def build_ansatz(params: AnsatzParams, n_qubits: int) -> Circuit:
+def build_ansatz(params: AnsatzParams) -> Circuit:
     """Layered circuit exp(-i Hxx) exp(-i Hz) exp(-i Hx) acting on |0...0>.
 
-    The XX terms of one block commute, so the block is realised exactly as
-    a chain of two-qubit RXX rotations on neighbouring pairs.  The Z and X
-    blocks carry no half-angle convention, hence the factor 2 handed to
-    RZ/RX.
+    The register is ``params.n_qubits`` qubits.  The XX terms of one block
+    commute, so the block is realised exactly as a chain of two-qubit RXX
+    rotations on neighbouring pairs.  The Z and X blocks carry no
+    half-angle convention, hence the factor 2 handed to RZ/RX.
     """
-    if params.n_qubits != n_qubits:
-        raise ValueError("ansatz register size mismatch")
+    n_qubits = params.n_qubits
     circ = Circuit(n_qubits)
     for beta, gamma, delta in params.layers:
         if len(beta) != n_qubits - 1 or len(gamma) != n_qubits or len(delta) != n_qubits:
@@ -635,16 +635,17 @@ def aggregate_runs(values):
     return med, (mad_re, mad_im)
 
 
-def aggregate_spectra(per_run_estimates, radius=0.25):
+def aggregate_spectra(per_run_estimates):
     """Cluster converged estimates across runs; median/MAD per cluster.
 
     ``per_run_estimates`` is a list (one entry per run) of estimate lists.
-    Returns a list of dicts with median, MAD and per-run support, sorted by
-    the median real part.
+    Estimates within ``AGGREGATE_RADIUS`` of a cluster's first member join
+    it.  Returns a list of dicts with median, MAD and per-run support,
+    sorted by the median real part.
     """
     flat = [e for run in per_run_estimates for e in run if e.converged]
     out = []
-    for cl in cluster_estimates(flat, radius):
+    for cl in cluster_estimates(flat, AGGREGATE_RADIUS):
         med, mad = aggregate_runs([e.energy for e in cl])
         out.append(
             {

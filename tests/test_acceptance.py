@@ -194,7 +194,7 @@ def test_criterion_08_shot_mode_statistics():
             base_seed=500 + r * reps, shot_tol_scale=0.02, fd_step_shot=1e-3,
         )
         per_run.append(scan_spectrum(hg, cfg))
-    clusters = aggregate_spectra(per_run, radius=0.25)
+    clusters = aggregate_spectra(per_run)
     assert clusters
     checked = 0
     bound = min(classical, key=lambda z: z.real)
@@ -309,8 +309,7 @@ def test_criterion_10_filtration():
         )
         estimates.extend(scan_spectrum(hjw, cfg))
     report = filtration_report(
-        [e.state for e in estimates], [e.energy for e in estimates],
-        n_r=3, shots=8192, seed=5,
+        [e.state for e in estimates], [e.energy for e in estimates], shots=8192, seed=5,
     )
     physical_found = set()
     n_redundant = 0
@@ -351,13 +350,13 @@ def test_criterion_11_property_suite(rng):
     assert np.linalg.eigvalsh(dense_from_terms(herm.items(), 3)).min() > -1e-10
     # statevector unitarity
     params = AnsatzParams.random(rng, 3, 3, scale=1.0)
-    state = apply_circuit(zero_state(3), build_ansatz(params, 3))
+    state = apply_circuit(zero_state(3), build_ansatz(params))
     assert abs(np.linalg.norm(state) - 1.0) < 1e-10
     # cost vs dense oracle
     h5 = build_scaled_matrix(schematic_basis(5), SCHEMATIC, 24.0).matrix
     hg = encode_gray(h5)
     e = complex(rng.normal(), rng.normal())
-    psi = apply_circuit(zero_state(3), build_ansatz(params, 3))
+    psi = apply_circuit(zero_state(3), build_ansatz(params))
     dense = dense_from_terms(hg.items(), 3)
     resid = dense @ psi - e * psi
     assert cost(params, e, hg) == pytest.approx(float(np.vdot(resid, resid).real), abs=1e-10)

@@ -41,6 +41,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model.oops"):
             load_config(cfg)
 
+    def test_aggregate_radius_is_an_unknown_key(self, tmp_path, capsys):
+        # the radius across runs is the constant AGGREGATE_RADIUS, not a setting
+        doc = {
+            "model": {"kind": "schematic"},
+            "basis": {"family": "gaussian", "n": 4, "l": 1, "r1": 1.0, "r_max": 3.0},
+            "theta": {"value": 24.0},
+            "aggregate_radius": 0.25,
+            "out_dir": str(tmp_path / "out"),
+        }
+        assert main(["spectrum-quantum", "--config", write_yaml(tmp_path / "c.yaml", doc)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "unknown config key 'aggregate_radius'"
+        assert not (tmp_path / "out").exists()
+
     def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
         # YAML 1.1 alone would load these as strings, rejected as quoted numbers
         cfg = tmp_path / "c.yaml"
@@ -95,7 +109,7 @@ class TestConfigValidation:
         ("trajectory", {"neighborhood": {"center_re": 1.17, "center_im": 0.0, "radius": 0}}),
         ("spectrum-quantum", {"cost_tol": -1}),
         ("trajectory", {"engine": "quantum", "cost_tol": 0.0}),
-        ("spectrum-quantum", {"aggregate_radius": -1}),
+        ("spectrum-quantum", {"scan": {"step": float("nan")}}),
         # shot mode judges convergence by shot_tol_scale, never by cost_tol
         ("spectrum-quantum", {"shots": 1024, "cost_tol": 1e-3}),
         # a quoted number is a string, not a number of its type
@@ -270,6 +284,15 @@ class TestSpectrumClassical:
         rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[2:]
         imag = [abs(float(r.split(",")[4])) for r in rows if r]
         assert max(imag) < 1e-8
+
+    def test_reads_the_trajectory_config(self, schematic_traj_config, capsys):
+        # a config carries the keys of every stage on its problem: the
+        # spectra along a trajectory's theta grid read its neighborhood and
+        # bins as given, and ignore them
+        assert main(["spectrum-classical", "--config", schematic_traj_config]) == 0
+        out = Path(yaml.safe_load(Path(schematic_traj_config).read_text())["out_dir"])
+        body = (out / "spectrum.csv").read_text().splitlines()[2:]
+        assert len(body) == 18 * 6  # theta 2, 3, ..., 19 and six eigenvalues each
 
     def test_rerun_is_bit_identical(self, tmp_path, schematic_traj_config):
         assert main(["trajectory", "--config", schematic_traj_config]) == 0

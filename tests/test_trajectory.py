@@ -139,6 +139,13 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(basis, schematic, [3.0, 2.0], 1.0 + 0.0j, 0.5)
 
+    def test_classical_engine_refuses_a_vqa_config(self, schematic):
+        # the classical engine reads no solver setting, so it takes none
+        basis = RadialBasisSpec.gaussian(5, 1, 1.0, 4.0)
+        with pytest.raises(ValueError, match="VqaConfig"):
+            run_trajectory(basis, schematic, [2.0, 3.0], 1.17 - 0.0j, 0.5,
+                           vqa_config=VqaConfig(p=2))
+
     def test_mode_improves_with_basis_size(self, schematic):
         # reference narrow resonance: modes approach it as the basis grows
         exact = 1.1710 - 0.0049j

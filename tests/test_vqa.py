@@ -49,20 +49,20 @@ def dense_cost(h_dense, psi, energy):
 class TestBuildAnsatz:
     def test_zero_params_identity(self):
         params = AnsatzParams.from_vector(np.zeros(3 * (3 * 4 - 1)), 4, 3)
-        state = apply_circuit(zero_state(4), build_ansatz(params, 4))
+        state = apply_circuit(zero_state(4), build_ansatz(params))
         np.testing.assert_allclose(state, zero_state(4), atol=1e-14)
 
     def test_gate_count_per_layer(self):
         n, p = 5, 2
         params = AnsatzParams.from_vector(np.zeros(p * (3 * n - 1)), n, p)
-        circ = build_ansatz(params, n)
+        circ = build_ansatz(params)
         assert len(circ.gates) == p * ((n - 1) + n + n)
 
     def test_single_xx_rotation_state(self):
         vec = np.zeros(5)
         vec[0] = np.pi / 4  # beta for the only pair; gamma = delta = 0
         params = AnsatzParams.from_vector(vec, 2, 1)
-        state = apply_circuit(zero_state(2), build_ansatz(params, 2))
+        state = apply_circuit(zero_state(2), build_ansatz(params))
         oracle = expm(-1j * np.pi / 4 * kron_pauli("XX")) @ zero_state(2)
         np.testing.assert_allclose(state, oracle, atol=1e-12)
         np.testing.assert_allclose(
@@ -80,7 +80,7 @@ class TestBuildAnsatz:
             for row in rows:
                 fast = _ansatz_states(row, n, p)[0]
                 params = AnsatzParams.from_vector(row, n, p)
-                slow = apply_circuit(zero_state(n), build_ansatz(params, n))
+                slow = apply_circuit(zero_state(n), build_ansatz(params))
                 np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_sweep_plan_stays_small(self):
@@ -104,7 +104,7 @@ class TestBuildAnsatz:
         # the exact-mode residual reads it, and its Jacobian reuses the sweep
         plain = _ansatz_states(zeta, n, p)[0]
         assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (rows[0], plain)))
-        slow = apply_circuit(zero_state(n), build_ansatz(AnsatzParams.from_vector(zeta, n, p), n))
+        slow = apply_circuit(zero_state(n), build_ansatz(AnsatzParams.from_vector(zeta, n, p)))
         np.testing.assert_allclose(rows[0], slow, atol=1e-12)
         step = 1e-6
         for j in range(d):
@@ -140,7 +140,7 @@ class TestCost:
         for _ in range(5):
             params = AnsatzParams.random(rng, 3, 3, scale=0.7)
             e = complex(rng.normal(), rng.normal())
-            psi = apply_circuit(zero_state(3), build_ansatz(params, 3))
+            psi = apply_circuit(zero_state(3), build_ansatz(params))
             assert cost(params, e, h5_gray) == pytest.approx(
                 dense_cost(h_dense, psi, e), abs=1e-10
             )
